@@ -10,7 +10,9 @@
 # records must stay out-of-core. The scale-12 slice includes non-RMAT corpus shapes
 # (BM_BfsHybridRoad on the road lattice, BM_PageRankPullLfr on the LFR
 # community graph), so the gate is not blind to locality regressions that an
-# RMAT-only smoke would miss.
+# RMAT-only smoke would miss. BM_ReadEdgeListFile (perf_io) gates the
+# file -> EdgeList text ingest that the end-to-end analytics workload
+# starts with.
 #
 # Wall-clock baselines are machine-relative: regenerate on the machine that
 # enforces the gate with
@@ -33,8 +35,8 @@ MAX_REGRESSION="${UBIGRAPH_PERF_MAX_REGRESSION:-0.25}"
 # remaining runs' rel_spread alongside the median.
 BENCH_FLAGS=(--benchmark_filter='/12/' --benchmark_min_time=0.05
              --benchmark_repetitions=5 --benchmark_report_aggregates_only=false)
-SMOKE_BINARIES=(perf_traversal perf_pagerank perf_components perf_csr_build
-                perf_reorder perf_shortest_path perf_centrality
+SMOKE_BINARIES=(perf_io perf_traversal perf_pagerank perf_components
+                perf_csr_build perf_reorder perf_shortest_path perf_centrality
                 perf_incremental perf_query perf_sharded)
 
 cmake -S "$ROOT" -B "$BUILD_DIR" > /dev/null

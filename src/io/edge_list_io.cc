@@ -1,39 +1,37 @@
 #include "io/edge_list_io.h"
 
+#include <sys/stat.h>
+
+#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <string_view>
 
 #include "common/strings.h"
 #include "io/parse_metrics.h"
+#include "io/record_scanner.h"
 
 namespace ubigraph::io {
 
 namespace {
 
-Result<EdgeList> ParseEdgeListTextImpl(const std::string& text) {
+Result<EdgeList> ParseEdgeListTextImpl(std::string_view text) {
   EdgeList el;
-  size_t line_no = 0;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::string_view sv = Trim(line);
-    if (sv.empty() || sv[0] == '#') continue;
-    std::vector<std::string> fields = SplitWhitespace(sv);
-    if (fields.size() < 2 || fields.size() > 3) {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": expected 'src dst [weight]'");
+  el.Reserve(internal::RecordCapacity(text));
+  internal::RecordScanner scan(text);
+  while (scan.NextRecord('#')) {
+    const size_t num_fields = scan.num_fields();
+    if (num_fields < 2 || num_fields > 3) {
+      return scan.Error("expected 'src dst [weight]'");
     }
     int64_t src = 0, dst = 0;
-    if (!ParseInt64(fields[0], &src) || !ParseInt64(fields[1], &dst) ||
+    if (!scan.FieldInt64(0, &src) || !scan.FieldInt64(1, &dst) ||
         src < 0 || dst < 0 || src > UINT32_MAX || dst > UINT32_MAX) {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": invalid vertex id");
+      return scan.Error("invalid vertex id");
     }
     double weight = 1.0;
-    if (fields.size() == 3 && !ParseDouble(fields[2], &weight)) {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": invalid weight");
+    if (num_fields == 3 && !ParseDouble(scan.field(2), &weight)) {
+      return scan.Error("invalid weight");
     }
     el.Add(static_cast<VertexId>(src), static_cast<VertexId>(dst), weight);
   }
@@ -67,12 +65,25 @@ std::string WriteEdgeListText(const EdgeList& edges) {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return ss.str();
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) return Status::IOError("cannot open " + path);
+  struct stat st {};
+  if (::fstat(::fileno(file.get()), &st) != 0 || S_ISDIR(st.st_mode)) {
+    return Status::IOError("cannot read " + path);
+  }
+  // A regular file is read with one fread into a buffer of its size. Streams
+  // that report no size (pipes, procfs files) and a file that grew meanwhile
+  // are drained in chunks after it.
+  std::string out(S_ISREG(st.st_mode) ? static_cast<size_t>(st.st_size) : 0, '\0');
+  out.resize(std::fread(out.data(), 1, out.size(), file.get()));
+  char chunk[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), file.get())) > 0) out.append(chunk, n);
+  if (std::ferror(file.get())) return Status::IOError("read failed: " + path);
+  return out;
 }
 
 Status WriteStringToFile(const std::string& content, const std::string& path) {

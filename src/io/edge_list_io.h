@@ -19,7 +19,8 @@ std::string WriteEdgeListText(const EdgeList& edges);
 Result<EdgeList> ReadEdgeListFile(const std::string& path);
 Status WriteEdgeListFile(const EdgeList& edges, const std::string& path);
 
-/// Shared helpers for the other IO modules.
+/// Shared helpers for the other IO modules. ReadFileToString returns the
+/// file's bytes exactly; a missing path or a directory is an IOError.
 Result<std::string> ReadFileToString(const std::string& path);
 Status WriteStringToFile(const std::string& content, const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "io/jgf_io.h"
 
 #include <map>
+#include <string>
 
 #include "common/strings.h"
 #include "io/edge_list_io.h"
@@ -84,19 +85,21 @@ std::string WriteJgf(const EdgeList& edges, bool directed,
                      const std::string& label) {
   // Node ids are zero-padded so the JGF nodes object (which readers iterate
   // in lexicographic key order) round-trips to the same dense numbering.
-  int width = 1;
-  for (VertexId n = edges.num_vertices(); n >= 10; n /= 10) ++width;
+  const size_t width = std::to_string(edges.num_vertices()).size();
   auto node_id = [width](VertexId v) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "n%0*u", width, v);
-    return std::string(buf);
+    const std::string digits = std::to_string(v);
+    std::string id = "n";
+    if (digits.size() < width) id.append(width - digits.size(), '0');
+    return id + digits;
   };
   std::string out = "{\n  \"graph\": {\n    \"directed\": ";
   out += directed ? "true" : "false";
   out += ",\n    \"label\": \"" + JsonEscape(label) + "\",\n    \"nodes\": {";
   for (VertexId v = 0; v < edges.num_vertices(); ++v) {
     if (v) out += ", ";
-    out += "\"" + node_id(v) + "\": {}";
+    out += '"';
+    out += node_id(v);
+    out += "\": {}";
   }
   out += "},\n    \"edges\": [\n";
   bool first = true;

@@ -1,11 +1,13 @@
 #include "io/mmio.h"
 
+#include <algorithm>
 #include <cctype>
-#include <sstream>
+#include <string_view>
 
 #include "common/strings.h"
 #include "io/edge_list_io.h"
 #include "io/parse_metrics.h"
+#include "io/record_scanner.h"
 
 namespace ubigraph::io {
 
@@ -17,88 +19,75 @@ std::string Lower(std::string_view s) {
   return out;
 }
 
-Status ParseErrorAt(size_t line_no, const std::string& what) {
-  return Status::ParseError("line " + std::to_string(line_no) + ": " + what);
-}
-
-Result<EdgeList> ParseMatrixMarketImpl(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
+Result<EdgeList> ParseMatrixMarketImpl(std::string_view text) {
+  internal::RecordScanner scan(text);
 
   // Banner.
-  if (!std::getline(in, line)) return Status::ParseError("empty document");
-  ++line_no;
-  std::vector<std::string> banner = SplitWhitespace(Trim(line));
+  std::string_view line;
+  if (!scan.NextLine(&line)) return Status::ParseError("empty document");
+  std::vector<std::string> banner = SplitWhitespace(line);
   if (banner.size() < 4 || Lower(banner[0]) != "%%matrixmarket") {
-    return ParseErrorAt(line_no, "expected '%%MatrixMarket' banner");
+    return scan.Error("expected '%%MatrixMarket' banner");
   }
   if (Lower(banner[1]) != "matrix" || Lower(banner[2]) != "coordinate") {
-    return ParseErrorAt(line_no, "only 'matrix coordinate' files are supported");
+    return scan.Error("only 'matrix coordinate' files are supported");
   }
   const std::string field = Lower(banner[3]);
   const bool pattern = field == "pattern";
   if (!pattern && field != "real" && field != "integer" && field != "double") {
-    return ParseErrorAt(line_no, "unsupported field type '" + banner[3] + "'");
+    return scan.Error("unsupported field type '" + banner[3] + "'");
   }
   const std::string symmetry = banner.size() >= 5 ? Lower(banner[4]) : "general";
   const bool symmetric = symmetry == "symmetric";
   if (!symmetric && symmetry != "general") {
-    return ParseErrorAt(line_no, "unsupported symmetry '" + symmetry + "'");
+    return scan.Error("unsupported symmetry '" + symmetry + "'");
   }
 
   // Size line: first non-comment, non-blank line.
+  if (!scan.NextRecord('%')) return Status::ParseError("missing size line");
   int64_t rows = 0, cols = 0, nnz = 0;
-  bool have_size = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::string_view sv = Trim(line);
-    if (sv.empty() || sv[0] == '%') continue;
-    std::vector<std::string> fields = SplitWhitespace(sv);
-    if (fields.size() != 3 || !ParseInt64(fields[0], &rows) ||
-        !ParseInt64(fields[1], &cols) || !ParseInt64(fields[2], &nnz)) {
-      return ParseErrorAt(line_no, "expected size line 'rows cols nnz'");
-    }
-    have_size = true;
-    break;
+  if (scan.num_fields() != 3 || !scan.FieldInt64(0, &rows) ||
+      !scan.FieldInt64(1, &cols) || !scan.FieldInt64(2, &nnz)) {
+    return scan.Error("expected size line 'rows cols nnz'");
   }
-  if (!have_size) return Status::ParseError("missing size line");
   if (rows < 0 || cols < 0 || nnz < 0) {
-    return ParseErrorAt(line_no, "negative dimension");
+    return scan.Error("negative dimension");
   }
   if (symmetric && rows != cols) {
-    return ParseErrorAt(line_no, "symmetric matrix must be square");
+    return scan.Error("symmetric matrix must be square");
   }
   const bool bipartite = rows != cols;
+  // Bounding each side first keeps rows + cols from overflowing.
+  if (rows > UINT32_MAX || cols > UINT32_MAX) return scan.Error("dimensions overflow");
   const int64_t num_vertices = bipartite ? rows + cols : rows;
-  if (num_vertices > UINT32_MAX) return ParseErrorAt(line_no, "dimensions overflow");
+  if (num_vertices > UINT32_MAX) return scan.Error("dimensions overflow");
   if (nnz > 0 && (rows == 0 || cols == 0)) {
-    return ParseErrorAt(line_no, "entries declared for an empty matrix");
+    return scan.Error("entries declared for an empty matrix");
   }
 
   EdgeList el(static_cast<VertexId>(num_vertices));
-  el.Reserve(static_cast<size_t>(symmetric ? 2 * nnz : nnz));
+  // nnz is untrusted: reserve no more entries than the rest of the text can
+  // hold.
+  const size_t entries = std::min(static_cast<size_t>(nnz),
+                                  internal::RecordCapacity(scan.rest()));
+  el.Reserve(symmetric ? 2 * entries : entries);
+  const size_t want = pattern ? 2 : 3;
   int64_t read = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::string_view sv = Trim(line);
-    if (sv.empty() || sv[0] == '%') continue;
-    if (read == nnz) return ParseErrorAt(line_no, "more entries than declared nnz");
-    std::vector<std::string> fields = SplitWhitespace(sv);
-    const size_t want = pattern ? 2 : 3;
-    if (fields.size() != want) {
-      return ParseErrorAt(line_no, pattern ? "expected 'i j'" : "expected 'i j value'");
+  while (scan.NextRecord('%')) {
+    if (read == nnz) return scan.Error("more entries than declared nnz");
+    if (scan.num_fields() != want) {
+      return scan.Error(pattern ? "expected 'i j'" : "expected 'i j value'");
     }
     int64_t i = 0, j = 0;
-    if (!ParseInt64(fields[0], &i) || !ParseInt64(fields[1], &j)) {
-      return ParseErrorAt(line_no, "invalid index");
+    if (!scan.FieldInt64(0, &i) || !scan.FieldInt64(1, &j)) {
+      return scan.Error("invalid index");
     }
     if (i < 1 || i > rows || j < 1 || j > cols) {
-      return ParseErrorAt(line_no, "index out of range");
+      return scan.Error("index out of range");
     }
     double value = 1.0;
-    if (!pattern && !ParseDouble(fields[2], &value)) {
-      return ParseErrorAt(line_no, "invalid value");
+    if (!pattern && !ParseDouble(scan.field(2), &value)) {
+      return scan.Error("invalid value");
     }
     const VertexId src = static_cast<VertexId>(i - 1);
     const VertexId dst =
@@ -115,27 +104,22 @@ Result<EdgeList> ParseMatrixMarketImpl(const std::string& text) {
   return el;
 }
 
-Result<EdgeList> ParseTsvTriplesImpl(const std::string& text) {
+Result<EdgeList> ParseTsvTriplesImpl(std::string_view text) {
   EdgeList el;
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::string_view sv = Trim(line);
-    if (sv.empty()) continue;
-    std::vector<std::string> fields = SplitWhitespace(sv);
-    if (fields.size() != 3) {
-      return ParseErrorAt(line_no, "expected 'src\\tdst\\tweight'");
+  el.Reserve(internal::RecordCapacity(text));
+  internal::RecordScanner scan(text);
+  while (scan.NextRecord(internal::RecordScanner::kNoComment)) {
+    if (scan.num_fields() != 3) {
+      return scan.Error("expected 'src\\tdst\\tweight'");
     }
     int64_t src = 0, dst = 0;
     double weight = 1.0;
-    if (!ParseInt64(fields[0], &src) || !ParseInt64(fields[1], &dst) ||
-        !ParseDouble(fields[2], &weight)) {
-      return ParseErrorAt(line_no, "invalid triple");
+    if (!scan.FieldInt64(0, &src) || !scan.FieldInt64(1, &dst) ||
+        !ParseDouble(scan.field(2), &weight)) {
+      return scan.Error("invalid triple");
     }
     if (src < 1 || dst < 1 || src > UINT32_MAX || dst > UINT32_MAX) {
-      return ParseErrorAt(line_no, "vertex id out of range (ids are 1-based)");
+      return scan.Error("vertex id out of range (ids are 1-based)");
     }
     el.Add(static_cast<VertexId>(src - 1), static_cast<VertexId>(dst - 1), weight);
   }

@@ -16,6 +16,7 @@
 #include "algorithms/kcore.h"
 #include "common/crc32.h"
 #include "common/random.h"
+#include "fuzz_corpus.h"
 #include "gen/generators.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
@@ -41,59 +42,11 @@
 namespace ubigraph {
 namespace {
 
-/// Random printable-ish garbage (includes brackets/quotes to reach parser
-/// corners).
-std::string RandomGarbage(Rng* rng, size_t max_len) {
-  static const char kAlphabet[] =
-      "abcdefghijklmnopqrstuvwxyz0123456789 \t\n\"'<>[]{}(),.:;*-=#\\/";
-  size_t len = rng->NextBounded(max_len + 1);
-  std::string out;
-  out.reserve(len);
-  for (size_t i = 0; i < len; ++i) {
-    out += kAlphabet[rng->NextBounded(sizeof(kAlphabet) - 1)];
-  }
-  return out;
-}
-
-/// Applies `count` random single-byte mutations (overwrite/insert/delete).
-std::string Mutate(std::string doc, Rng* rng, int count) {
-  for (int i = 0; i < count && !doc.empty(); ++i) {
-    size_t pos = rng->NextBounded(doc.size());
-    switch (rng->NextBounded(3)) {
-      case 0:
-        doc[pos] = static_cast<char>(32 + rng->NextBounded(95));
-        break;
-      case 1:
-        doc.insert(pos, 1, static_cast<char>(32 + rng->NextBounded(95)));
-        break;
-      case 2:
-        doc.erase(pos, 1);
-        break;
-    }
-  }
-  return doc;
-}
-
-EdgeList SeedEdges() {
-  Rng rng(99);
-  return gen::ErdosRenyi(12, 30, &rng).ValueOrDie();
-}
+using test::SeedEdges;
 
 template <typename ParseFn>
 void FuzzParser(ParseFn&& parse, const std::string& valid_doc, uint64_t seed) {
-  Rng rng(seed);
-  // Pure garbage.
-  for (int i = 0; i < 200; ++i) {
-    parse(RandomGarbage(&rng, 300));
-  }
-  // Mutations of a valid document (more likely to go deep into the parser).
-  for (int i = 0; i < 200; ++i) {
-    parse(Mutate(valid_doc, &rng, 1 + static_cast<int>(rng.NextBounded(8))));
-  }
-  // Degenerate inputs.
-  parse("");
-  parse(std::string(1, '\0'));
-  parse(std::string(5000, '('));
+  for (const std::string& doc : test::FuzzCorpus(valid_doc, seed)) parse(doc);
 }
 
 TEST(FuzzSmokeTest, EdgeListParserIsTotal) {
@@ -173,6 +126,15 @@ TEST(FuzzSmokeTest, MatrixMarketHostileCorpusFailsCleanly) {
       "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2 1.0\n",
       "%%MatrixMarket matrix coordinate real general\n999999999999 2 1\n",
       "%%MatrixMarket matrix coordinate real general\n0 0 3\n1 1 1.0\n",
+      // An untrusted nnz must not size an allocation: a huge one, and one
+      // whose doubling for a symmetric file overflows.
+      "%%MatrixMarket matrix coordinate real general\n3 3 999999999999999\n"
+      "1 2 1.0\n",
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "3 3 9223372036854775807\n1 2 1.0\n",
+      // rows + cols would overflow int64 for a rectangular matrix.
+      "%%MatrixMarket matrix coordinate real general\n"
+      "9223372036854775807 1 0\n",
   };
   for (const char* doc : kHostile) {
     auto result = io::ParseMatrixMarket(doc);
@@ -264,7 +226,7 @@ TEST(FuzzSmokeTest, TruncatedDocumentsNeverCrash) {
 }
 
 TEST(FuzzSmokeTest, NonUtf8BytesInGarbageNeverCrashParsers) {
-  // RandomGarbage above stays printable; this variant floods the full byte
+  // test::RandomGarbage stays printable; this variant floods the full byte
   // range (including invalid UTF-8 continuation patterns) through the three
   // markup parsers.
   Rng rng(11);

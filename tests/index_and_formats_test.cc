@@ -126,6 +126,25 @@ TEST(JgfTest, RoundTripPreservesIdsBeyondTen) {
   }
 }
 
+TEST(JgfTest, WriterOutputIsPinned) {
+  // Byte-exact output, including the zero-padded node ids.
+  EdgeList el(11);
+  el.Add(0, 10, 2.5);
+  el.Add(9, 1);
+  EXPECT_EQ(io::WriteJgf(el, /*directed=*/true, "pin"),
+            "{\n  \"graph\": {\n    \"directed\": true,\n    \"label\": \"pin\",\n"
+            "    \"nodes\": {\"n00\": {}, \"n01\": {}, \"n02\": {}, \"n03\": {}, "
+            "\"n04\": {}, \"n05\": {}, \"n06\": {}, \"n07\": {}, \"n08\": {}, "
+            "\"n09\": {}, \"n10\": {}},\n    \"edges\": [\n"
+            "      {\"source\": \"n00\", \"target\": \"n10\", "
+            "\"metadata\": {\"weight\": 2.5}},\n"
+            "      {\"source\": \"n09\", \"target\": \"n01\"}\n    ]\n  }\n}\n");
+  EdgeList wide(1000);
+  wide.Add(999, 7);
+  EXPECT_NE(io::WriteJgf(wide).find("{\"source\": \"n0999\", \"target\": \"n0007\"}"),
+            std::string::npos);
+}
+
 TEST(JgfTest, ParsesHandWrittenDocument) {
   const char* doc = R"({
     "graph": {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
@@ -74,6 +76,62 @@ TEST(EdgeListIoTest, FileRoundTrip) {
 
 TEST(EdgeListIoTest, MissingFileIsIOError) {
   EXPECT_TRUE(ReadEdgeListFile("/nonexistent/nope.txt").status().IsIOError());
+}
+
+// ------------------------------------------------------- ReadFileToString ---
+
+std::string TempPath(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         ("ug_read_" + name + "_" + std::to_string(::getpid()));
+}
+
+Result<std::string> WriteAndReadBack(const std::string& content,
+                                     const std::string& name) {
+  const std::string path = TempPath(name);
+  Status written = WriteStringToFile(content, path);
+  if (!written.ok()) return written;
+  Result<std::string> back = ReadFileToString(path);
+  std::remove(path.c_str());
+  return back;
+}
+
+TEST(ReadFileToStringTest, EmptyFileGivesEmptyString) {
+  auto back = WriteAndReadBack("", "empty");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->empty());
+}
+
+TEST(ReadFileToStringTest, NulBytesRoundTrip) {
+  const std::string content("\0a\0\0b\n\0", 7);
+  auto back = WriteAndReadBack(content, "nul");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, content);
+}
+
+TEST(ReadFileToStringTest, MultiMegabyteFileRoundTrips) {
+  // Every byte value, at a size that is no multiple of any read chunk.
+  Rng rng(17);
+  std::string content((5 << 20) + 4099, '\0');
+  for (char& c : content) c = static_cast<char>(rng.NextBounded(256));
+  auto back = WriteAndReadBack(content, "big");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(*back == content);
+}
+
+TEST(ReadFileToStringTest, DirectoryAndMissingPathAreIOErrors) {
+  auto dir = ReadFileToString(std::filesystem::temp_directory_path().string());
+  EXPECT_TRUE(dir.status().IsIOError()) << dir.status().ToString();
+  auto missing = ReadFileToString("/nonexistent/nope.txt");
+  EXPECT_TRUE(missing.status().IsIOError()) << missing.status().ToString();
+}
+
+TEST(ReadFileToStringTest, UnsizedFileIsReadToTheEnd) {
+  // procfs files report st_size 0, so they take the streaming path.
+  if (!std::filesystem::exists("/proc/self/status")) GTEST_SKIP();
+  auto back = ReadFileToString("/proc/self/status");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->rfind("Name:", 0), 0u);
+  EXPECT_NE(back->find("\nVmRSS:"), std::string::npos);
 }
 
 // ------------------------------------------------------------------- CSV ---
