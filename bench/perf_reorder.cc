@@ -93,28 +93,6 @@ BENCHMARK(BM_PageRankPullRcm)->ORDERED_ARGS;
 BENCHMARK(BM_PageRankPullHubCluster)->ORDERED_ARGS;
 #undef ORDERED_ARGS
 
-// Cache-blocked (propagation blocking) push vs the plain modes benchmarked in
-// perf_pagerank; Args = {scale, num_threads}.
-void BM_PageRankBlocked(benchmark::State& state) {
-  const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  const CsrGraph& g = bench::RmatGraph(scale, /*in_edges=*/true);
-  algo::PageRankOptions opts;
-  opts.max_iterations = 20;
-  opts.tolerance = 0;
-  opts.mode = algo::PageRankMode::kBlocked;
-  opts.num_threads = static_cast<uint32_t>(state.range(1));
-  bench::WorkProbe work({"pagerank.edges_relaxed"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::PageRank(g, opts).ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges() * 20);
-  work.Flush(state);
-  state.SetLabel("kernel=pagerank mode=blocked graph=rmat" +
-                 std::to_string(scale));
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_PageRankBlocked)->Args({12, 1})->Args({20, 1})->Args({20, 8});
-
 // Hybrid BFS on the hub-sorted graph vs original (the frontier bitmap and
 // distance array get the same locality win as PageRank's rank array).
 void BfsOrderedBench(benchmark::State& state, OrderingKind kind) {

@@ -207,100 +207,6 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
       edges_relaxed += g.num_edges();
       if (finish_iteration(iter, delta)) break;
     }
-  } else if (mode == PageRankMode::kBlocked) {
-    // Propagation blocking. Destination ids per (worker, bin) are recorded
-    // once — the topology never changes across iterations, only the streamed
-    // contribution values do — so each iteration is two sequential passes:
-    // stream values out, then accumulate one destination bin at a time.
-    const unsigned workers = pool == nullptr ? 1 : pool->size();
-    const uint32_t bin_bits = options.blocked_bin_bits;
-    const uint64_t bin_width = 1ull << bin_bits;
-    const uint64_t num_bins = (static_cast<uint64_t>(n) + bin_width - 1) >> bin_bits;
-    const uint64_t per = (static_cast<uint64_t>(n) + workers - 1) / workers;
-    // bin_dst[w][b] / bin_val[w][b]: destinations and contributions produced
-    // by worker w's source range that land in destination bin b, in source
-    // traversal order.
-    std::vector<std::vector<std::vector<VertexId>>> bin_dst(workers);
-    std::vector<std::vector<std::vector<double>>> bin_val(workers);
-    auto build_bins = [&](unsigned w) {
-      auto& dsts = bin_dst[w];
-      dsts.assign(num_bins, {});
-      const uint64_t lo = std::min<uint64_t>(w * per, n);
-      const uint64_t hi = std::min<uint64_t>(lo + per, n);
-      for (uint64_t u = lo; u < hi; ++u) {
-        if (inv_outdeg[u] == 0.0) continue;
-        for (VertexId v : g.OutNeighbors(static_cast<VertexId>(u))) {
-          dsts[v >> bin_bits].push_back(v);
-        }
-      }
-      auto& vals = bin_val[w];
-      vals.resize(num_bins);
-      for (uint64_t b = 0; b < num_bins; ++b) vals[b].resize(dsts[b].size());
-    };
-    if (pool == nullptr) {
-      build_bins(0);
-    } else {
-      for (unsigned w = 0; w < workers; ++w) pool->Submit([&, w] { build_bins(w); });
-      pool->Wait();
-    }
-
-    for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
-      const double dangling = dangling_mass();
-      // Phase 1: stream d * rank[u] / outdeg(u) into the per-bin buffers.
-      auto stream = [&](unsigned w) {
-        auto& vals = bin_val[w];
-        std::vector<uint64_t> cursor(num_bins, 0);
-        const uint64_t lo = std::min<uint64_t>(w * per, n);
-        const uint64_t hi = std::min<uint64_t>(lo + per, n);
-        for (uint64_t u = lo; u < hi; ++u) {
-          if (inv_outdeg[u] == 0.0) continue;
-          const double contrib = d * rank[u] * inv_outdeg[u];
-          for (VertexId v : g.OutNeighbors(static_cast<VertexId>(u))) {
-            const uint64_t b = v >> bin_bits;
-            vals[b][cursor[b]++] = contrib;
-          }
-        }
-      };
-      if (pool == nullptr) {
-        stream(0);
-      } else {
-        for (unsigned w = 0; w < workers; ++w) pool->Submit([&, w] { stream(w); });
-        pool->Wait();
-      }
-      // Phase 2: accumulate bin by bin. Within a bin the workers replay in
-      // ascending order and each worker's stream is in ascending source
-      // order, so every destination receives its contributions one at a time
-      // in globally ascending source order — the association that makes the
-      // result bitwise-stable across thread counts (and equal to serial
-      // push).
-      auto accumulate = [&](uint64_t bin_b, uint64_t bin_e) {
-        double sum = 0.0;
-        for (uint64_t b = bin_b; b < bin_e; ++b) {
-          const uint64_t vb = b << bin_bits;
-          const uint64_t ve = std::min<uint64_t>(vb + bin_width, n);
-          for (uint64_t v = vb; v < ve; ++v) {
-            const VertexId vid = static_cast<VertexId>(v);
-            next[v] = (1.0 - d) * teleport(vid) + d * dangling * teleport(vid);
-          }
-          for (unsigned w = 0; w < workers; ++w) {
-            const auto& dsts = bin_dst[w][b];
-            const auto& vals = bin_val[w][b];
-            for (size_t i = 0; i < dsts.size(); ++i) next[dsts[i]] += vals[i];
-          }
-          for (uint64_t v = vb; v < ve; ++v) sum += std::abs(next[v] - rank[v]);
-        }
-        return sum;
-      };
-      double delta;
-      if (pool == nullptr) {
-        delta = accumulate(0, num_bins);
-      } else {
-        delta = ParallelReduce(*pool, 0, num_bins, 0.0, accumulate, plus,
-                               /*grain=*/1);
-      }
-      edges_relaxed += g.num_edges();
-      if (finish_iteration(iter, delta)) break;
-    }
   } else {  // kDelta
     // Frontier-based pull: only vertices whose in-neighborhood is still
     // moving get re-gathered; everyone else keeps their score modulo the
@@ -418,10 +324,9 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
   // Instrumentation flushes totals once per run (no-ops when disabled), so
   // the iteration loops above are identical to the uninstrumented kernel.
   obs::AddCounter("pagerank.runs", 1);
-  obs::AddCounter(mode == PageRankMode::kPull      ? "pagerank.mode.pull"
-                  : mode == PageRankMode::kPush    ? "pagerank.mode.push"
-                  : mode == PageRankMode::kBlocked ? "pagerank.mode.blocked"
-                                                   : "pagerank.mode.delta",
+  obs::AddCounter(mode == PageRankMode::kPull   ? "pagerank.mode.pull"
+                  : mode == PageRankMode::kPush ? "pagerank.mode.push"
+                                                : "pagerank.mode.delta",
                   1);
   obs::AddCounter("pagerank.iterations", result.iterations);
   obs::AddCounter("pagerank.edges_relaxed", static_cast<int64_t>(edges_relaxed));

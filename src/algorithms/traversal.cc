@@ -46,7 +46,9 @@ void FlushBfsStats(const G& g, const std::vector<uint32_t>& dist) {
   for (int64_t size : level_sizes) frontier->Record(size);
 }
 
-/// The seed serial BFS, generalized to any number of depth-0 sources.
+/// The seed serial BFS, generalized to any number of depth-0 sources. It is
+/// the 1-thread path of BfsDistances/MultiSourceBfs and shares no code with
+/// HybridBfsEngine, so it stays an independent oracle for HybridBfs.
 template <NeighborRangeGraph G>
 std::vector<uint32_t> SerialBfs(const G& g,
                                 std::span<const VertexId> sources) {
@@ -71,67 +73,31 @@ std::vector<uint32_t> SerialBfs(const G& g,
   return dist;
 }
 
-/// Level-synchronous BFS: each round expands the whole frontier in parallel,
-/// claiming vertices with a CAS on the distance array. Depths are unique, so
-/// the result is identical to SerialBfs regardless of thread interleaving.
-template <NeighborRangeGraph G>
-std::vector<uint32_t> ParallelBfs(const G& g,
-                                  std::span<const VertexId> sources,
-                                  unsigned threads) {
-  std::vector<uint32_t> dist(g.num_vertices(), kUnreachable);
-  std::vector<VertexId> frontier;
-  for (VertexId s : sources) {
-    if (s < g.num_vertices() && dist[s] == kUnreachable) {
-      dist[s] = 0;
-      frontier.push_back(s);
-    }
-  }
-  ThreadPool pool(threads);
-  uint32_t depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    frontier = ParallelReduce(
-        pool, 0, frontier.size(), std::vector<VertexId>{},
-        [&](uint64_t b, uint64_t e) {
-          std::vector<VertexId> local;
-          for (uint64_t i = b; i < e; ++i) {
-            for (VertexId v : g.OutNeighbors(frontier[i])) {
-              uint32_t expected = kUnreachable;
-              if (std::atomic_ref<uint32_t>(dist[v]).compare_exchange_strong(
-                      expected, depth, std::memory_order_relaxed)) {
-                local.push_back(v);
-              }
-            }
-          }
-          return local;
-        },
-        [](std::vector<VertexId> a, std::vector<VertexId> b) {
-          a.insert(a.end(), b.begin(), b.end());
-          return a;
-        },
-        /*grain=*/256);
-  }
-  return dist;
-}
-
-/// One hybrid-BFS round's bookkeeping, flushed to obs at end of run.
+/// One hybrid-BFS round's bookkeeping.
 struct RoundStat {
   bool pull = false;
-  uint64_t frontier_size = 0;
   uint64_t edges_scanned = 0;
 };
 
-/// The direction-optimizing engine. `pool == nullptr` is the exact-serial
+/// A finished engine run: the distances plus the per-round record the
+/// caller may flush to obs.
+struct EngineRun {
+  std::vector<uint32_t> dist;
+  std::vector<RoundStat> rounds;
+};
+
+/// The direction-optimizing engine, and with direction == kPush the parallel
+/// path of BfsDistances/MultiSourceBfs. `pool == nullptr` is the exact-serial
 /// path: the same round bodies run inline over the full range, with plain
 /// (non-atomic) claims. Distances are unique per vertex, so every mode and
 /// thread count produces a bitwise-identical array.
 template <NeighborRangeGraph G>
-std::vector<uint32_t> HybridBfsEngine(const G& g,
-                                      std::span<const VertexId> sources,
-                                      const HybridBfsOptions& opt,
-                                      ThreadPool* pool) {
+EngineRun HybridBfsEngine(const G& g, std::span<const VertexId> sources,
+                          const HybridBfsOptions& opt, ThreadPool* pool) {
   const VertexId n = g.num_vertices();
-  std::vector<uint32_t> dist(n, kUnreachable);
+  EngineRun run;
+  std::vector<uint32_t>& dist = run.dist;
+  dist.assign(n, kUnreachable);
   Frontier cur(n), next(n);
   uint64_t frontier_edges = 0;
   for (VertexId s : sources) {
@@ -151,8 +117,6 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
       static_cast<uint64_t>(static_cast<double>(n) / opt.beta);
 
   bool pull = opt.direction == TraversalDirection::kPull;
-  uint64_t switches = 0;
-  std::vector<RoundStat> rounds;
   uint32_t depth = 0;
 
   while (!cur.empty()) {
@@ -160,15 +124,12 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
     if (opt.direction == TraversalDirection::kAuto) {
       if (!pull && frontier_edges > pull_edges) {
         pull = true;
-        ++switches;
       } else if (pull && cur.size() < push_vertices) {
         pull = false;
-        ++switches;
       }
     }
     RoundStat stat;
     stat.pull = pull;
-    stat.frontier_size = cur.size();
 
     if (pull) {
       cur.ToDense();
@@ -263,25 +224,33 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
       next.AdoptList(std::move(total.found));
     }
     std::swap(cur, next);
-    rounds.push_back(stat);
+    run.rounds.push_back(stat);
   }
+  return run;
+}
 
-  if (obs::Enabled()) {
-    uint64_t push_rounds = 0, pull_rounds = 0, edges = 0;
-    obs::LatencyHistogram* round_edges =
-        obs::MetricsRegistry::Global().GetHistogram("bfs.hybrid.round_edges");
-    for (const RoundStat& r : rounds) {
-      (r.pull ? pull_rounds : push_rounds) += 1;
-      edges += r.edges_scanned;
-      round_edges->Record(static_cast<int64_t>(r.edges_scanned));
-    }
-    obs::AddCounter("bfs.hybrid.runs", 1);
-    obs::AddCounter("bfs.hybrid.push_rounds", static_cast<int64_t>(push_rounds));
-    obs::AddCounter("bfs.hybrid.pull_rounds", static_cast<int64_t>(pull_rounds));
-    obs::AddCounter("bfs.hybrid.switches", static_cast<int64_t>(switches));
-    obs::AddCounter("bfs.hybrid.edges_scanned", static_cast<int64_t>(edges));
+/// Flushes the `bfs.hybrid.*` counters of one HybridBfs run. A switch is a
+/// round whose direction differs from the one before it; every run starts in
+/// push except a forced-pull one.
+void FlushHybridBfsStats(const std::vector<RoundStat>& rounds,
+                         TraversalDirection direction) {
+  if (!obs::Enabled()) return;
+  uint64_t push_rounds = 0, pull_rounds = 0, switches = 0, edges = 0;
+  bool pull = direction == TraversalDirection::kPull;
+  obs::LatencyHistogram* round_edges =
+      obs::MetricsRegistry::Global().GetHistogram("bfs.hybrid.round_edges");
+  for (const RoundStat& r : rounds) {
+    (r.pull ? pull_rounds : push_rounds) += 1;
+    switches += r.pull != pull ? 1 : 0;
+    pull = r.pull;
+    edges += r.edges_scanned;
+    round_edges->Record(static_cast<int64_t>(r.edges_scanned));
   }
-  return dist;
+  obs::AddCounter("bfs.hybrid.runs", 1);
+  obs::AddCounter("bfs.hybrid.push_rounds", static_cast<int64_t>(push_rounds));
+  obs::AddCounter("bfs.hybrid.pull_rounds", static_cast<int64_t>(pull_rounds));
+  obs::AddCounter("bfs.hybrid.switches", static_cast<int64_t>(switches));
+  obs::AddCounter("bfs.hybrid.edges_scanned", static_cast<int64_t>(edges));
 }
 
 template <NeighborRangeGraph G>
@@ -297,7 +266,9 @@ Result<std::vector<uint32_t>> HybridMultiSourceBfsImpl(
   const unsigned threads = ResolveNumThreads(options.num_threads);
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
-  return HybridBfsEngine(g, sources, options, pool ? &*pool : nullptr);
+  EngineRun run = HybridBfsEngine(g, sources, options, pool ? &*pool : nullptr);
+  FlushHybridBfsStats(run.rounds, options.direction);
+  return std::move(run.dist);
 }
 
 template <NeighborRangeGraph G>
@@ -306,8 +277,15 @@ std::vector<uint32_t> MultiSourceBfsImpl(const G& g,
                                          BfsOptions options) {
   obs::ScopedTrace span("MultiSourceBfs");
   const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::vector<uint32_t> dist =
-      threads <= 1 ? SerialBfs(g, sources) : ParallelBfs(g, sources, threads);
+  std::vector<uint32_t> dist;
+  if (threads <= 1) {
+    dist = SerialBfs(g, sources);
+  } else {
+    ThreadPool pool(threads);
+    HybridBfsOptions push;
+    push.direction = TraversalDirection::kPush;
+    dist = HybridBfsEngine(g, sources, push, &pool).dist;
+  }
   FlushBfsStats(g, dist);
   return dist;
 }

@@ -78,7 +78,7 @@ Result<EdgeList> ParseCsvEdgesImpl(const std::string& text, CsvOptions options) 
     }
     int64_t src = 0, dst = 0;
     if (!ParseInt64(fields[src_col], &src) || !ParseInt64(fields[dst_col], &dst) ||
-        src < 0 || dst < 0 || src > UINT32_MAX || dst > UINT32_MAX) {
+        src < 0 || dst < 0 || src >= UINT32_MAX || dst >= UINT32_MAX) {
       return Status::ParseError("line " + std::to_string(line_no) +
                                 ": invalid vertex id");
     }

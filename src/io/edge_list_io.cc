@@ -24,9 +24,10 @@ Result<EdgeList> ParseEdgeListTextImpl(std::string_view text) {
     if (num_fields < 2 || num_fields > 3) {
       return scan.Error("expected 'src dst [weight]'");
     }
+    // UINT32_MAX is kInvalidVertex, and num_vertices (max id + 1) must fit.
     int64_t src = 0, dst = 0;
     if (!scan.FieldInt64(0, &src) || !scan.FieldInt64(1, &dst) ||
-        src < 0 || dst < 0 || src > UINT32_MAX || dst > UINT32_MAX) {
+        src < 0 || dst < 0 || src >= UINT32_MAX || dst >= UINT32_MAX) {
       return scan.Error("invalid vertex id");
     }
     double weight = 1.0;

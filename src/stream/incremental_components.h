@@ -4,8 +4,9 @@
 // component, which union-find cannot undo, so a batch whose deletions remove
 // the last undirected connection between two distinct endpoints triggers ONE
 // full relabel at the end of the batch — counted in rebuilds(), the
-// cost-asymmetry knob mirroring IncrementalKCore::full_rebuilds(). Deletions
-// of parallel arcs (another copy survives) and self-loops never rebuild.
+// cost-asymmetry knob (IncrementalKCore, by contrast, repairs every deletion
+// locally). Deletions of parallel arcs (another copy survives) and self-loops
+// never rebuild.
 #pragma once
 
 #include <cstdint>

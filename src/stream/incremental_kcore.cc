@@ -6,9 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "algorithms/kcore.h"
 #include "common/buckets.h"
-#include "graph/csr_graph.h"
 
 namespace ubigraph::stream {
 
@@ -104,18 +102,8 @@ Status IncrementalKCore::RemoveEdgeImpl(VertexId u, VertexId v,
   adjacency_[u].erase(v);
   adjacency_[v].erase(u);
   --num_edges_;
-  if (options_.repair_deletions) {
-    RepairAfterDeletion(u, v, work);
-    ++deletion_repairs_;
-  } else {
-    RecomputeAllCores();
-    ++full_rebuilds_;
-    if (work != nullptr) {
-      work->vertices_reactivated += core_.size();
-      work->edges_rerelaxed += 2 * num_edges_;
-      ++work->rebuilds;
-    }
-  }
+  RepairAfterDeletion(u, v, work);
+  ++deletion_repairs_;
   return Status::OK();
 }
 
@@ -236,30 +224,14 @@ Result<IncrementalKCore::BatchResult> IncrementalKCore::ApplyBatch(
     if (d.kind == GraphDelta::Kind::kInsert) {
       InsertEdgeImpl(d.src, d.dst, &work).Abort();
     } else {
-      const uint64_t rebuilds_before = full_rebuilds_;
       RemoveEdgeImpl(d.src, d.dst, &work).Abort();
-      if (full_rebuilds_ > rebuilds_before) {
-        ++result.full_rebuilds;
-      } else {
-        ++result.deletion_repairs;
-      }
+      ++result.deletion_repairs;
     }
   }
   result.vertices_reactivated = work.vertices_reactivated;
   result.edges_rerelaxed = work.edges_rerelaxed;
   FlushIncrementalWork("kcore", work);
   return result;
-}
-
-void IncrementalKCore::RecomputeAllCores() {
-  // Full fallback: rebuild a CSR snapshot and rerun batch peeling, routing
-  // the configured thread count to the shared kernel (core numbers are a
-  // graph invariant — identical at every setting).
-  auto csr = CsrGraph::FromEdges(Snapshot(),
-                                 CsrOptions{.directed = false,
-                                            .num_threads = options_.num_threads});
-  core_ = algo::CoreDecomposition(
-      csr.ValueOrDie(), algo::CoreOptions{.num_threads = options_.num_threads});
 }
 
 uint32_t IncrementalKCore::Degeneracy() const {

@@ -7,9 +7,7 @@
 // edge (r = min of the endpoint cores). Insertions peel promotion candidates
 // with a cascade; deletions peel demotion candidates through the shared
 // priority-bucket layer (common/buckets.h), popping sub-r buckets in order.
-// The legacy behavior — full recomputation on every deletion — remains
-// available via Options::repair_deletions = false, keeping full_rebuilds()
-// meaningful as the documented cost-asymmetry counter.
+// No update ever falls back to a full recomputation.
 #pragma once
 
 #include <cstdint>
@@ -25,28 +23,23 @@
 namespace ubigraph::stream {
 
 struct IncrementalKCoreOptions {
-  /// Routed to algo::CoreDecomposition when a full recomputation runs
-  /// (core numbers are a graph invariant, identical at every setting).
+  /// Accepted for symmetry with the other engines' options. Every update is
+  /// a serial local repair, so no code path reads it.
   uint32_t num_threads = 1;
-  /// When true (default), deletions run bounded local subcore repair; when
-  /// false, every deletion falls back to a full recomputation (the
-  /// pre-repair behavior, counted by full_rebuilds()).
-  bool repair_deletions = true;
 };
 
 class IncrementalKCore {
  public:
   using Options = IncrementalKCoreOptions;
 
-  explicit IncrementalKCore(VertexId num_vertices, Options options = {})
-      : options_(options), adjacency_(num_vertices), core_(num_vertices, 0) {}
+  explicit IncrementalKCore(VertexId num_vertices, Options /*options*/ = {})
+      : adjacency_(num_vertices), core_(num_vertices, 0) {}
 
   /// Inserts an undirected edge and repairs core numbers locally.
   /// Duplicate edges and self-loops are rejected.
   Status InsertEdge(VertexId u, VertexId v);
 
-  /// Removes an edge and repairs core numbers — locally when
-  /// Options::repair_deletions is set, otherwise by full recomputation.
+  /// Removes an edge and repairs core numbers locally.
   Status RemoveEdge(VertexId u, VertexId v);
 
   /// Applies an ordered batch of deltas (arcs interpreted as undirected
@@ -57,12 +50,10 @@ class IncrementalKCore {
   struct BatchResult {
     /// Subcore candidates examined across the batch's repairs.
     uint64_t vertices_reactivated = 0;
-    /// Adjacency entries scanned across the batch's repairs/rebuilds.
+    /// Adjacency entries scanned across the batch's repairs.
     uint64_t edges_rerelaxed = 0;
     /// Deletions absorbed by bounded local repair.
     uint64_t deletion_repairs = 0;
-    /// Deletions that fell back to full recomputation.
-    uint64_t full_rebuilds = 0;
   };
   Result<BatchResult> ApplyBatch(std::span<const GraphDelta> deltas);
 
@@ -76,10 +67,7 @@ class IncrementalKCore {
   /// Largest core number.
   uint32_t Degeneracy() const;
 
-  /// How many times the expensive full recomputation ran (deletions with
-  /// repair_deletions disabled).
-  uint64_t full_rebuilds() const { return full_rebuilds_; }
-  /// How many deletions were absorbed by bounded local repair instead.
+  /// How many deletions were absorbed by bounded local repair.
   uint64_t deletion_repairs() const { return deletion_repairs_; }
 
   /// Current edges as an EdgeList (each undirected edge once, u < v).
@@ -91,13 +79,10 @@ class IncrementalKCore {
   /// Demotes the core==r subcore members around the removed edge that lost
   /// their r-th qualifying neighbor (bucketed peel; see .cc).
   void RepairAfterDeletion(VertexId u, VertexId v, IncrementalWork* work);
-  void RecomputeAllCores();
 
-  Options options_;
   std::vector<std::unordered_set<VertexId>> adjacency_;
   std::vector<uint32_t> core_;
   uint64_t num_edges_ = 0;
-  uint64_t full_rebuilds_ = 0;
   uint64_t deletion_repairs_ = 0;
 };
 

@@ -157,7 +157,7 @@ TEST_P(CorpusDifferentialTest, PageRankModesAgreeOnEveryRepresentation) {
   ASSERT_TRUE(oracle.converged);
 
   for (auto mode : {algo::PageRankMode::kPull, algo::PageRankMode::kPush,
-                    algo::PageRankMode::kDelta, algo::PageRankMode::kBlocked}) {
+                    algo::PageRankMode::kDelta}) {
     for (uint32_t threads : kThreadCounts) {
       SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
                    " threads=" + std::to_string(threads));

@@ -57,7 +57,9 @@ TEST(KShortestPathsTest, CostsNonDecreasingAndPathsDistinct) {
   auto paths = algo::KShortestPaths(g, 0, 29, 6).ValueOrDie();
   std::set<std::vector<VertexId>> distinct;
   for (size_t i = 0; i < paths.size(); ++i) {
-    if (i > 0) EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(paths[i].cost, paths[i - 1].cost - 1e-9);
+    }
     distinct.insert(paths[i].vertices);
     // Loopless.
     std::set<VertexId> unique(paths[i].vertices.begin(), paths[i].vertices.end());

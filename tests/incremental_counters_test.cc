@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "algorithms/kcore.h"
 #include "algorithms/pagerank.h"
 #include "common/random.h"
 #include "gen/generators.h"
@@ -59,7 +60,6 @@ TEST_F(IncrementalCountersTest, InsertOnlyStreamsNeverRebuild) {
     ASSERT_TRUE(kc.ApplyBatch(batch).ok());
   }
   EXPECT_EQ(cc.rebuilds(), 0u);
-  EXPECT_EQ(kc.full_rebuilds(), 0u);
   EXPECT_EQ(kc.deletion_repairs(), 0u);
   EXPECT_EQ(CounterValue("stream.incremental.components.rebuilds"), 0);
   EXPECT_EQ(CounterValue("stream.incremental.kcore.rebuilds"), 0);
@@ -120,25 +120,19 @@ TEST_F(IncrementalCountersTest, ComponentsObsCountersMatchHandComputation) {
 }
 
 TEST_F(IncrementalCountersTest, KCoreDeletionRepairVsLegacyRebuild) {
-  // Default engine: deletions are local repairs, full_rebuilds stays 0.
+  // A deletion is a counted local repair whose result equals a full
+  // rebuild: a batch decomposition of the snapshot.
   IncrementalKCore repair(3);
   ASSERT_TRUE(repair.InsertEdge(0, 1).ok());
   ASSERT_TRUE(repair.InsertEdge(1, 2).ok());
   ASSERT_TRUE(repair.InsertEdge(0, 2).ok());
   ASSERT_TRUE(repair.RemoveEdge(0, 1).ok());
   EXPECT_EQ(repair.deletion_repairs(), 1u);
-  EXPECT_EQ(repair.full_rebuilds(), 0u);
   EXPECT_EQ(repair.core_numbers(), (std::vector<uint32_t>{1, 1, 1}));
-
-  // Legacy engine: every deletion is a counted full recomputation.
-  IncrementalKCore legacy(3, {.repair_deletions = false});
-  ASSERT_TRUE(legacy.InsertEdge(0, 1).ok());
-  ASSERT_TRUE(legacy.InsertEdge(1, 2).ok());
-  ASSERT_TRUE(legacy.InsertEdge(0, 2).ok());
-  ASSERT_TRUE(legacy.RemoveEdge(0, 1).ok());
-  EXPECT_EQ(legacy.deletion_repairs(), 0u);
-  EXPECT_EQ(legacy.full_rebuilds(), 1u);
-  EXPECT_EQ(legacy.core_numbers(), repair.core_numbers());
+  auto snapshot = CsrGraph::FromEdges(repair.Snapshot(),
+                                      CsrOptions{.directed = false})
+                      .ValueOrDie();
+  EXPECT_EQ(repair.core_numbers(), algo::CoreDecomposition(snapshot));
 }
 
 TEST_F(IncrementalCountersTest, KCoreObsCountersMatchHandComputation) {
@@ -164,7 +158,6 @@ TEST_F(IncrementalCountersTest, KCoreObsCountersMatchHandComputation) {
             .ValueOrDie();
   EXPECT_EQ(res.vertices_reactivated, 3u);
   EXPECT_EQ(res.deletion_repairs, 1u);
-  EXPECT_EQ(res.full_rebuilds, 0u);
   EXPECT_EQ(kc.core_numbers(), (std::vector<uint32_t>{1, 1, 1, 1}));
   EXPECT_EQ(CounterValue("stream.incremental.kcore.batches"), 2);
   EXPECT_EQ(CounterValue("stream.incremental.kcore.vertices_reactivated"), 1 + 3);

@@ -53,7 +53,6 @@ TEST(IncrementalKCoreTest, GrowingCliqueTracksExactly) {
     }
   }
   EXPECT_EQ(inc.Degeneracy(), 7u);
-  EXPECT_EQ(inc.full_rebuilds(), 0u);  // insert-only path never rebuilds
 }
 
 class IncrementalKCoreRandomTest : public ::testing::TestWithParam<uint64_t> {};
@@ -96,26 +95,6 @@ TEST(IncrementalKCoreTest, DeletionsRepairLocallyByDefault) {
     EXPECT_EQ(inc.core_numbers(), BatchCores(inc)) << "after deletion " << i;
   }
   EXPECT_EQ(inc.deletion_repairs(), 5u);
-  EXPECT_EQ(inc.full_rebuilds(), 0u);
-}
-
-TEST(IncrementalKCoreTest, DeletionsFallBackToRebuildWhenRepairDisabled) {
-  Rng rng(9);
-  IncrementalKCore inc(20, {.repair_deletions = false});
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  for (int i = 0; i < 80; ++i) {
-    VertexId u = static_cast<VertexId>(rng.NextBounded(20));
-    VertexId v = static_cast<VertexId>(rng.NextBounded(20));
-    if (u != v && inc.InsertEdge(u, v).ok()) edges.emplace_back(u, v);
-  }
-  ASSERT_GE(edges.size(), 10u);
-  for (int i = 0; i < 5; ++i) {
-    auto [u, v] = edges[static_cast<size_t>(i) * 2];
-    ASSERT_TRUE(inc.RemoveEdge(u, v).ok());
-    EXPECT_EQ(inc.core_numbers(), BatchCores(inc)) << "after deletion " << i;
-  }
-  EXPECT_EQ(inc.full_rebuilds(), 5u);
-  EXPECT_EQ(inc.deletion_repairs(), 0u);
 }
 
 TEST(IncrementalKCoreTest, MixedWorkloadStaysExact) {

@@ -64,6 +64,21 @@ TEST(EdgeListIoTest, MalformedLinesRejected) {
   EXPECT_FALSE(ParseEdgeListText("0 1 notaweight\n").ok());
 }
 
+TEST(EdgeListIoTest, ReservedVertexIdRejected) {
+  // 4294967295 is kInvalidVertex; accepting it wrapped num_vertices to 0.
+  std::string path = std::filesystem::temp_directory_path() /
+                     ("ug_el_reserved_" + std::to_string(::getpid()));
+  ASSERT_TRUE(WriteStringToFile("0 1\n4294967295 0\n", path).ok());
+  auto read = ReadEdgeListFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.status().IsParseError());
+  EXPECT_EQ(read.status().message(), "line 2: invalid vertex id");
+  EXPECT_TRUE(ParseEdgeListText("0 4294967295\n").status().IsParseError());
+  auto largest = ParseEdgeListText("4294967294 0\n");
+  ASSERT_TRUE(largest.ok());
+  EXPECT_EQ(largest->num_vertices(), 4294967295u);
+}
+
 TEST(EdgeListIoTest, FileRoundTrip) {
   std::string path = std::filesystem::temp_directory_path() / "ug_el_test.txt";
   EdgeList el = SampleEdges();
@@ -163,6 +178,11 @@ TEST(CsvIoTest, CustomColumnNamesAndSeparator) {
 TEST(CsvIoTest, MissingColumnsRejected) {
   EXPECT_FALSE(ParseCsvEdges("a,b\n1,2\n").ok());
   EXPECT_FALSE(ParseCsvEdges("").ok());
+}
+
+TEST(CsvIoTest, ReservedVertexIdRejected) {
+  EXPECT_TRUE(ParseCsvEdges("source,target\n4294967295,0\n").status().IsParseError());
+  EXPECT_TRUE(ParseCsvEdges("source,target\n4294967294,0\n").ok());
 }
 
 TEST(CsvIoTest, MissingWeightDefaultsToOne) {

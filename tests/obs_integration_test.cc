@@ -151,6 +151,34 @@ TEST_F(ObsIntegrationTest, ParallelBfsIdenticalWithObsOnAndOff) {
   MetricsRegistry::Global().set_enabled(true);
   std::vector<uint32_t> on = algo::BfsDistances(g, 0, opts);
   EXPECT_EQ(on, off);
+
+  // The parallel path runs the hybrid engine, but only HybridBfs reports
+  // under bfs.hybrid.*; BfsDistances and MultiSourceBfs report under bfs.*.
+  const char* hybrid_counters[] = {
+      "bfs.hybrid.runs", "bfs.hybrid.push_rounds", "bfs.hybrid.pull_rounds",
+      "bfs.hybrid.switches", "bfs.hybrid.edges_scanned"};
+  for (const char* name : hybrid_counters) EXPECT_EQ(CounterValue(name), 0) << name;
+  EXPECT_EQ(CounterValue("bfs.runs"), 1);
+  const VertexId sources[] = {0, 5};
+  algo::MultiSourceBfs(g, sources, opts);
+  EXPECT_EQ(CounterValue("bfs.runs"), 2);
+  for (const char* name : hybrid_counters) EXPECT_EQ(CounterValue(name), 0) << name;
+  EXPECT_EQ(MetricsRegistry::Global()
+                .GetHistogram("bfs.hybrid.round_edges")
+                ->Merge()
+                .count,
+            0);
+
+  algo::HybridBfsOptions hopts;
+  hopts.num_threads = 4;
+  hopts.direction = algo::TraversalDirection::kPush;
+  EXPECT_EQ(algo::HybridBfs(g, 0, hopts).ValueOrDie(), on);
+  EXPECT_EQ(CounterValue("bfs.runs"), 2);
+  EXPECT_EQ(CounterValue("bfs.hybrid.runs"), 1);
+  EXPECT_GT(CounterValue("bfs.hybrid.push_rounds"), 0);
+  EXPECT_EQ(CounterValue("bfs.hybrid.pull_rounds"), 0);
+  EXPECT_EQ(CounterValue("bfs.hybrid.switches"), 0);
+  EXPECT_GT(CounterValue("bfs.hybrid.edges_scanned"), 0);
 }
 
 TEST_F(ObsIntegrationTest, ThreadPoolAccountsForEverySubmittedTask) {

@@ -122,9 +122,9 @@ TEST(TextIngestDifferentialTest, EdgeListHandCases) {
       std::string("0 1\0\n", 5), std::string("0\0 1\n", 5),
       std::string("\0\n0 1\n", 6), std::string("0 1 2\0\n", 7),
       std::string("0 1 \0\n", 6),
-      // Id syntax and range: '+', -0, 2^32 - 1, 2^32, 2^63 - 1, 2^63.
+      // Id syntax and range: '+', -0, 2^32 - 2, 2^32 - 1, 2^32, 2^63 - 1, 2^63.
       "+1 2\n", "-0 1\n", "-1 2\n", "1 -2\n", "4294967295 0\n", "4294967296 1\n",
-      "1 4294967296\n", "9223372036854775807 1\n", "9223372036854775808 1\n",
+      "1 4294967296\n", "0 4294967295\n", "4294967294 0\n", "9223372036854775807 1\n", "9223372036854775808 1\n",
       "0x10 1\n", "1.0 2\n", "007 8\n",
       // Weights.
       "0 1 inf\n", "0 1 -inf\n", "0 1 nan\n", "0 1 -nan\n", "0 1 nan(123)\n",

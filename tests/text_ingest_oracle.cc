@@ -43,7 +43,7 @@ Result<EdgeList> OracleParseEdgeListText(const std::string& text) {
     }
     int64_t src = 0, dst = 0;
     if (!ParseInt64(fields[0], &src) || !ParseInt64(fields[1], &dst) ||
-        src < 0 || dst < 0 || src > UINT32_MAX || dst > UINT32_MAX) {
+        src < 0 || dst < 0 || src >= UINT32_MAX || dst >= UINT32_MAX) {
       return Status::ParseError("line " + std::to_string(line_no) +
                                 ": invalid vertex id");
     }
