@@ -76,7 +76,9 @@ Status LoadRecords(const std::string& json_text, const std::string& origin,
                                 " is not an object");
     }
     std::string name;
-    UG_RETURN_NOT_OK(GetString(entry, origin, "#" + std::to_string(i), "name", &name));
+    std::string where = "#";
+    where += std::to_string(i);
+    UG_RETURN_NOT_OK(GetString(entry, origin, where, "name", &name));
     if (name.empty()) {
       return Status::ParseError(origin + ": entry " + std::to_string(i) +
                                 " has an empty name");

@@ -199,8 +199,6 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
       if (psb != run.counters.end()) s.peak_segment_bytes = psb->second.value;
       auto rss = run.counters.find("peak_rss_bytes");
       if (rss != run.counters.end()) s.peak_rss_bytes = rss->second.value;
-      auto pmb = run.counters.find("peak_msg_bytes");
-      if (pmb != run.counters.end()) s.peak_msg_bytes = pmb->second.value;
       auto threads = run.counters.find("threads");
       if (threads != run.counters.end()) {
         s.threads = static_cast<int64_t>(threads->second.value);
@@ -235,7 +233,7 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
       // state doesn't; drop it whenever enough repetitions remain to still
       // take a median.
       const size_t begin = runs.size() > 2 ? 1 : 0;
-      std::vector<double> ns, eps, bpe, wi, psb, rss, pmb;
+      std::vector<double> ns, eps, bpe, wi, psb, rss;
       for (size_t i = begin; i < runs.size(); ++i) {
         ns.push_back(runs[i]->real_ns);
         eps.push_back(runs[i]->edges_per_second);
@@ -243,7 +241,6 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
         wi.push_back(runs[i]->work_items);
         psb.push_back(runs[i]->peak_segment_bytes);
         rss.push_back(runs[i]->peak_rss_bytes);
-        pmb.push_back(runs[i]->peak_msg_bytes);
       }
       const double med_ns = Median(ns);
       double spread = 0.0;
@@ -270,17 +267,12 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
       // Memory fields only where a bench measured them (out-of-core runs):
       // peak_segment_bytes is the cache's adjacency high-water mark,
       // peak_rss_bytes the process-wide getrusage peak that also covers
-      // kernel scratch (message buffers) and vertex state.
+      // kernel scratch and vertex state.
       if (Median(psb) > 0.0) {
         out << ", \"peak_segment_bytes\": " << Finite(Median(psb));
       }
       if (Median(rss) > 0.0) {
         out << ", \"peak_rss_bytes\": " << Finite(Median(rss));
-      }
-      // peak_msg_bytes: the message layer's logical high-water mark (0 under
-      // dense combine, <= the configured budget when spilling).
-      if (Median(pmb) > 0.0) {
-        out << ", \"peak_msg_bytes\": " << Finite(Median(pmb));
       }
       out << ", \"repeats\": " << ns.size()
           << ", \"rel_spread\": " << Finite(spread) << "}";
@@ -301,7 +293,6 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
     double work_items = 0.0;  // 0 unless the bench reports per-batch work
     double peak_segment_bytes = 0.0;  // 0 unless out-of-core (perf_sharded)
     double peak_rss_bytes = 0.0;      // 0 unless out-of-core (perf_sharded)
-    double peak_msg_bytes = 0.0;      // 0 unless the msg layer buffered
     int64_t threads = 1;
   };
 

@@ -39,7 +39,9 @@ const PropertyGraph& SocialGraph(uint32_t scale) {
       g->SetVertexProperty(v, "age",
                            static_cast<int64_t>(18 + rng.NextBounded(60)))
           .Abort();
-      g->SetVertexProperty(v, "name", "p" + std::to_string(i)).Abort();
+      std::string name = "p";
+      name += std::to_string(i);
+      g->SetVertexProperty(v, "name", std::move(name)).Abort();
     }
     for (VertexId i = 0; i < products; ++i) {
       VertexId v = g->AddVertex("Product");

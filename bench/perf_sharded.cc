@@ -2,11 +2,10 @@
 // shard-at-a-time kernels over in-memory segments, and the mmap-backed
 // segment cache under a byte budget smaller than the total segment bytes —
 // true out-of-core runs whose records carry peak_segment_bytes (the cache's
-// high-water mark of ADJACENCY bytes), peak_rss_bytes (the process's
-// getrusage high-water mark), and peak_msg_bytes (the message layer's
-// buffered high-water mark — 0 under the default dense-combine strategy,
-// bounded by message_budget_bytes under the spillable uncombined strategy;
-// see shard/msg_stream.h) next to the machine-independent work counters.
+// high-water mark of ADJACENCY bytes) and peak_rss_bytes (the process's
+// getrusage high-water mark) next to the machine-independent work counters.
+// The kernels buffer no messages (destination-owned dense combine; see
+// shard/shard_kernels.h), so there is no message-memory record.
 //
 // Args convention: {scale, num_shards[, num_threads]}. The /12/ slice feeds
 // ci/perf_smoke.sh; the scale-22 out-of-core rows are the BENCH.json
@@ -16,8 +15,7 @@
 //
 // A caveat on peak_rss_bytes: ru_maxrss is monotone over the PROCESS, so a
 // record's RSS includes everything earlier benches in the same binary
-// touched. The per-run memory signal for the message layer is
-// peak_msg_bytes, which resets with each MsgStreams instance.
+// touched.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -169,11 +167,10 @@ double PeakRssBytes() {
 
 // The acceptance record: PageRank streaming mmap'ed segments under a cache
 // budget of total/4 — the graph's ADJACENCY is never fully resident
-// (peak_segment_bytes < total segment bytes by construction). Under the
-// default dense-combine strategy the message layer buffers nothing
-// (peak_msg_bytes = 0): workers fold contributions straight into the
-// destination ranges they own, so the run's heap is the O(V) vertex state
-// plus the cache budget — fully out-of-core, not semi-external.
+// (peak_segment_bytes < total segment bytes by construction). Workers fold
+// contributions straight into the destination ranges they own, so the run's
+// heap is the O(V) vertex state plus the cache budget — fully out-of-core,
+// not semi-external.
 void BM_ShardedPageRankOutOfCore(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
   const uint32_t num_shards = static_cast<uint32_t>(state.range(1));
@@ -185,8 +182,6 @@ void BM_ShardedPageRankOutOfCore(benchmark::State& state) {
   shard::ShardedPageRankOptions opts;
   opts.max_iterations = 10;
   opts.tolerance = 0;
-  shard::MsgStats msg_stats;
-  opts.msg.stats_out = &msg_stats;
   bench::WorkProbe work({"shard.pagerank.edges_streamed"});
   for (auto _ : state) {
     benchmark::DoNotOptimize(shard::ShardedPageRank(s, opts).ValueOrDie());
@@ -196,8 +191,6 @@ void BM_ShardedPageRankOutOfCore(benchmark::State& state) {
   state.counters["peak_segment_bytes"] =
       static_cast<double>(s.cache().peak_segment_bytes());
   state.counters["peak_rss_bytes"] = PeakRssBytes();
-  state.counters["peak_msg_bytes"] =
-      static_cast<double>(msg_stats.peak_msg_bytes);  // 0: dense-combine
   state.counters["budget_bytes"] =
       static_cast<double>(s.cache().budget_bytes());
   state.counters["total_segment_bytes"] =
@@ -207,78 +200,6 @@ void BM_ShardedPageRankOutOfCore(benchmark::State& state) {
   state.counters["threads"] = 1.0;
 }
 BENCHMARK(BM_ShardedPageRankOutOfCore)->Args({12, 16})->Args({22, 64});
-
-// The uncombined oracle path over in-memory segments: per-(worker, dst-shard)
-// message buffers with no budget (nothing spills). This is the PR-9-era
-// execution model kept as the bitwise reference; the gap to BM_ShardedPageRank
-// (dense-combine) is the price of materializing one message per scanned edge.
-void BM_ShardedPageRankUncombined(benchmark::State& state) {
-  const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  const shard::ShardedCsr& s =
-      ShardedRmat(scale, static_cast<uint32_t>(state.range(1)));
-  shard::ShardedPageRankOptions opts;
-  opts.max_iterations = 10;
-  opts.tolerance = 0;
-  opts.num_threads = static_cast<uint32_t>(state.range(2));
-  opts.msg.strategy = shard::MsgStrategy::kUncombined;
-  shard::MsgStats msg_stats;
-  opts.msg.stats_out = &msg_stats;
-  bench::WorkProbe work({"shard.pagerank.edges_streamed"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(shard::ShardedPageRank(s, opts).ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() * s.num_edges() * 10);
-  work.Flush(state);
-  state.counters["peak_msg_bytes"] =
-      static_cast<double>(msg_stats.peak_msg_bytes);
-  state.SetLabel("kernel=pagerank mode=sharded_uncombined graph=rmat" +
-                 std::to_string(scale));
-  state.counters["threads"] = static_cast<double>(state.range(2));
-}
-BENCHMARK(BM_ShardedPageRankUncombined)->Args({12, 16, 1});
-
-// Spill-forced out-of-core PageRank: uncombined streams under a message
-// budget far below the uncombined working set, so blocks spill to CRC-checked
-// scratch files in the segment directory and replay during apply. The record
-// pins the budget contract (peak_msg_bytes <= message_budget_bytes) at
-// benchmark scale; spill_bytes shows how much traffic went through disk.
-void BM_ShardedPageRankOutOfCoreSpill(benchmark::State& state) {
-  const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  const uint32_t num_shards = static_cast<uint32_t>(state.range(1));
-  const SegmentDir& dir = RmatSegmentDir(scale, num_shards);
-  shard::ShardOpenOptions oopts;
-  oopts.storage = shard::SegmentStorage::kMapped;
-  oopts.budget_bytes = dir.total_bytes() / 4;
-  auto s = shard::ShardedCsr::Open(dir.str(), oopts).ValueOrDie();
-  shard::ShardedPageRankOptions opts;
-  opts.max_iterations = 10;
-  opts.tolerance = 0;
-  opts.msg.strategy = shard::MsgStrategy::kUncombined;
-  // ~1/48 of the uncombined message working set at either scale: scale 12 has
-  // ~12 MB of per-iteration messages, scale 22 ~800 MB.
-  opts.msg.message_budget_bytes =
-      scale >= 22 ? 32ull << 20 : 256ull << 10;
-  shard::MsgStats msg_stats;
-  opts.msg.stats_out = &msg_stats;
-  bench::WorkProbe work({"shard.pagerank.edges_streamed"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(shard::ShardedPageRank(s, opts).ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() * s.num_edges() * 10);
-  work.Flush(state);
-  state.counters["peak_segment_bytes"] =
-      static_cast<double>(s.cache().peak_segment_bytes());
-  state.counters["peak_rss_bytes"] = PeakRssBytes();
-  state.counters["peak_msg_bytes"] =
-      static_cast<double>(msg_stats.peak_msg_bytes);
-  state.counters["message_budget_bytes"] =
-      static_cast<double>(opts.msg.message_budget_bytes);
-  state.counters["spill_bytes"] = static_cast<double>(msg_stats.spill_bytes);
-  state.SetLabel("kernel=pagerank mode=outofcore_spill graph=rmat" +
-                 std::to_string(scale));
-  state.counters["threads"] = 1.0;
-}
-BENCHMARK(BM_ShardedPageRankOutOfCoreSpill)->Args({12, 16})->Args({22, 64});
 
 // BFS with per-level segment skipping (shards holding no frontier vertex are
 // never touched); Args = {scale, shards}.

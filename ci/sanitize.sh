@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer gate: configures a dedicated build tree with UBIGRAPH_SANITIZE
 # (thread by default — catches data races in the parallel runtime and the
-# obs shard merging) and runs the unit- and integration-labeled test suites
-# under it. The integration label notably covers the incremental-maintenance
+# obs shard merging) and runs the unit-, integration- and fuzz-labeled test
+# suites under it. The fuzz label feeds hostile bytes to every parser and to
+# the segment and manifest decoders, which is where ASan and UBSan earn their
+# keep. The integration label notably covers the incremental-maintenance
 # differential tests, which drive every engine at 1/2/4/8 threads and are the
 # main TSan coverage for the stream layer, and the corpus differential suite
 # (corpus_differential_test), which sweeps every kernel family over corpus
@@ -17,7 +19,7 @@
 set -euo pipefail
 
 SANITIZER="${1:-${UBIGRAPH_SANITIZE:-thread}}"
-LABEL="${2:-unit|integration}"
+LABEL="${2:-unit|integration|fuzz}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$ROOT/build-${SANITIZER}san"
 

@@ -38,7 +38,11 @@ int64_t BandedHistogram::total() const {
 }
 
 std::string HumanCount(int64_t value) {
-  if (value < 0) return "-" + HumanCount(-value);
+  if (value < 0) {
+    std::string out = "-";
+    out += HumanCount(-value);
+    return out;
+  }
   struct Unit {
     int64_t scale;
     const char* suffix;
@@ -62,9 +66,19 @@ std::string HumanCount(int64_t value) {
 
 std::string BandedHistogram::BandLabel(size_t band) const {
   if (boundaries_.empty()) return "all";
-  if (band == 0) return "<" + HumanCount(boundaries_.front());
-  if (band == boundaries_.size()) return ">" + HumanCount(boundaries_.back());
-  return HumanCount(boundaries_[band - 1]) + " - " + HumanCount(boundaries_[band]);
+  std::string label;
+  if (band == 0) {
+    label = "<";
+    label += HumanCount(boundaries_.front());
+  } else if (band == boundaries_.size()) {
+    label = ">";
+    label += HumanCount(boundaries_.back());
+  } else {
+    label = HumanCount(boundaries_[band - 1]);
+    label += " - ";
+    label += HumanCount(boundaries_[band]);
+  }
+  return label;
 }
 
 void RunningStats::Add(double x) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 
 #include "algorithms/traversal.h"
@@ -15,16 +14,14 @@ namespace ubigraph::shard {
 namespace {
 
 /// Contiguous ascending shard ownership: worker w owns shards
-/// [w*per, (w+1)*per). Ascending blocks are what makes both strategies'
-/// per-destination fold order (workers ascending, shards ascending, rows
-/// ascending) equal to one global ascending source sweep.
+/// [w*per, (w+1)*per) and the destinations in them. Every worker sweeps the
+/// segments in ascending shard order and rows ascending, so each owned
+/// destination folds its sources in one global ascending sweep.
 struct ShardPlan {
   uint32_t num_shards;
-  unsigned workers;
   uint32_t per;
 
-  ShardPlan(uint32_t s, unsigned w)
-      : num_shards(s), workers(w), per((s + w - 1) / w) {}
+  ShardPlan(uint32_t s, unsigned w) : num_shards(s), per((s + w - 1) / w) {}
   uint32_t lo(unsigned w) const {
     return std::min<uint32_t>(w * per, num_shards);
   }
@@ -53,53 +50,15 @@ Status RunWorkers(ThreadPool* pool, unsigned workers, Fn&& fn) {
   return Status::OK();
 }
 
-/// Applies destination shards [0, S) via fn(t) -> Status, serially or on the
-/// pool; the first failure (lowest t) wins, deterministically.
-template <typename Fn>
-Status ApplyShards(ThreadPool* pool, uint32_t S, Fn&& fn) {
-  if (pool == nullptr) {
-    for (uint32_t t = 0; t < S; ++t) UG_RETURN_NOT_OK(fn(t));
-    return Status::OK();
-  }
-  std::vector<Status> status(S);
-  ParallelFor(*pool, 0, S,
-              [&](uint64_t t) { status[t] = fn(static_cast<uint32_t>(t)); });
-  for (uint32_t t = 0; t < S; ++t) {
-    UG_RETURN_NOT_OK(status[t]);
-  }
-  return Status::OK();
-}
-
-Status ValidateMsgOptions(const MsgOptions& msg) {
-  if (msg.strategy != MsgStrategy::kDenseCombine &&
-      msg.strategy != MsgStrategy::kUncombined) {
-    return Status::Invalid("sharded kernel: unknown message strategy");
-  }
-  return Status::OK();
-}
-
-/// Spill scratch placement: explicit option first, then the graph's own
-/// segment directory (so scratch shares the segments' filesystem), then the
-/// system temp directory for Build-produced in-memory graphs.
-std::string ResolveSpillDir(const ShardedCsr& g, const MsgOptions& msg) {
-  if (!msg.spill_dir.empty()) return msg.spill_dir;
-  if (!g.dir().empty()) return g.dir();
-  std::error_code ec;
-  const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
-  return ec ? std::string{"."} : tmp.string();
-}
-
-/// Copies the run's message-layer stats to the caller and flushes the
-/// additive ones to the obs registry (peak_msg_bytes is a high-water mark,
-/// not additive — it travels via stats_out only).
-void FlushMsgStats(const MsgStats& stats, const MsgOptions& msg) {
+/// Sums the workers' combined-edge counts, copies the stats to the caller
+/// and flushes them to the obs registry.
+void FlushMsgStats(const std::vector<uint64_t>& worker_combined,
+                   const MsgOptions& msg) {
+  MsgStats stats;
+  for (uint64_t c : worker_combined) stats.combined_edges += c;
   if (msg.stats_out != nullptr) *msg.stats_out = stats;
   obs::AddCounter("shard.msg.combined_edges",
                   static_cast<int64_t>(stats.combined_edges));
-  obs::AddCounter("shard.msg.spill_bytes",
-                  static_cast<int64_t>(stats.spill_bytes));
-  obs::AddCounter("shard.msg.spill_files",
-                  static_cast<int64_t>(stats.spill_files));
 }
 
 }  // namespace
@@ -110,7 +69,6 @@ Result<ShardedPageRankResult> ShardedPageRank(
   if (options.damping < 0.0 || options.damping >= 1.0) {
     return Status::Invalid("damping must be in [0, 1)");
   }
-  UG_RETURN_NOT_OK(ValidateMsgOptions(options.msg));
   const uint32_t S = g.num_shards();
   const unsigned threads = ResolveNumThreads(options.num_threads);
   std::optional<ThreadPool> pool_storage;
@@ -118,7 +76,6 @@ Result<ShardedPageRankResult> ShardedPageRank(
   ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
   const unsigned W = pool == nullptr ? 1 : pool->size();
   const ShardPlan plan(S, W);
-  const bool dense = options.msg.strategy == MsgStrategy::kDenseCombine;
 
   const double d = options.damping;
   const double tp = 1.0 / n;
@@ -129,13 +86,6 @@ Result<ShardedPageRankResult> ShardedPageRank(
   const std::span<const double> inv_outdeg = g.InvOutDegrees(pool);
 
   std::vector<double> rank(n, tp), next(n);
-  std::optional<MsgStreams<double>> streams;
-  if (!dense) {
-    UG_ASSIGN_OR_RETURN(
-        streams, MsgStreams<double>::Create(W, S,
-                                            options.msg.message_budget_bytes,
-                                            ResolveSpillDir(g, options.msg)));
-  }
   std::vector<uint64_t> worker_combined(W, 0);
 
   ShardedPageRankResult result;
@@ -150,77 +100,44 @@ Result<ShardedPageRankResult> ShardedPageRank(
     }
     const double base = (1.0 - d) * tp + d * dangling * tp;
 
-    if (dense) {
-      // Destination-owned fused scatter/apply: worker w owns next[] over its
-      // shard block, seeds it with base, and folds contributions for its own
-      // destinations while scanning ALL segments in ascending order — each
-      // next[v] is built by one worker in globally ascending source order,
-      // i.e. the serial push association, with zero message buffering.
-      UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
-        const VertexId db = g.shard_begin(plan.lo(w));
-        const VertexId de = g.shard_begin(plan.hi(w));
-        if (db == de) return Status::OK();
-        for (VertexId v = db; v < de; ++v) next[v] = base;
-        uint64_t applied = 0;
-        const bool owns_all = db == 0 && de == n;
-        for (uint32_t s = 0; s < S; ++s) {
-          UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
-          const SegmentView& view = pin.view();
-          if (owns_all) {
-            view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-              if (inv_outdeg[u] == 0.0) return;
-              const double contrib = d * rank[u] * inv_outdeg[u];
-              for (VertexId v : nbrs) next[v] += contrib;
-              applied += nbrs.size();
-            });
-          } else {
-            view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-              if (inv_outdeg[u] == 0.0) return;
-              const double contrib = d * rank[u] * inv_outdeg[u];
-              for (VertexId v : nbrs) {
-                if (v >= db && v < de) {
-                  next[v] += contrib;
-                  ++applied;
-                }
-              }
-            });
-          }
-        }
-        worker_combined[w] += applied;
-        return Status::OK();
-      }));
-    } else {
-      UG_RETURN_NOT_OK(streams->Reset());
-      UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
-        Status emit_status;
-        for (uint32_t s = plan.lo(w); s < plan.hi(w) && emit_status.ok();
-             ++s) {
-          UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
-          const SegmentView& view = pin.view();
+    // Destination-owned fused scatter/apply: worker w owns next[] over its
+    // shard block, seeds it with base, and folds contributions for its own
+    // destinations while scanning ALL segments in ascending order — each
+    // next[v] is built by one worker in globally ascending source order,
+    // i.e. the serial push association, with zero message buffering.
+    UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
+      const VertexId db = g.shard_begin(plan.lo(w));
+      const VertexId de = g.shard_begin(plan.hi(w));
+      if (db == de) return Status::OK();
+      for (VertexId v = db; v < de; ++v) next[v] = base;
+      uint64_t applied = 0;
+      const bool owns_all = db == 0 && de == n;
+      for (uint32_t s = 0; s < S; ++s) {
+        UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
+        const SegmentView& view = pin.view();
+        if (owns_all) {
           view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-            if (!emit_status.ok() || inv_outdeg[u] == 0.0) return;
+            if (inv_outdeg[u] == 0.0) return;
+            const double contrib = d * rank[u] * inv_outdeg[u];
+            for (VertexId v : nbrs) next[v] += contrib;
+            applied += nbrs.size();
+          });
+        } else {
+          view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
+            if (inv_outdeg[u] == 0.0) return;
             const double contrib = d * rank[u] * inv_outdeg[u];
             for (VertexId v : nbrs) {
-              Status st = streams->Emit(w, g.shard_of(v), v, contrib);
-              if (!st.ok()) {
-                emit_status = std::move(st);
-                return;
+              if (v >= db && v < de) {
+                next[v] += contrib;
+                ++applied;
               }
             }
           });
         }
-        return emit_status;
-      }));
-      // Apply destination shards independently (disjoint next[] ranges),
-      // replaying each shard's streams in ascending worker order.
-      UG_RETURN_NOT_OK(ApplyShards(pool, S, [&](uint32_t t) -> Status {
-        const VertexId shard_b = g.shard_begin(t);
-        const VertexId shard_e = g.shard_begin(t + 1);
-        for (VertexId v = shard_b; v < shard_e; ++v) next[v] = base;
-        return streams->Replay(
-            t, [&](VertexId dst, double val) { next[dst] += val; });
-      }));
-    }
+      }
+      worker_combined[w] += applied;
+      return Status::OK();
+    }));
 
     double delta = 0.0;
     for (VertexId v = 0; v < n; ++v) delta += std::abs(next[v] - rank[v]);
@@ -239,9 +156,7 @@ Result<ShardedPageRankResult> ShardedPageRank(
   for (VertexId v = 0; v < n; ++v) result.scores[n2o[v]] = rank[v];
   obs::AddCounter("shard.pagerank.edges_streamed",
                   static_cast<int64_t>(edges_streamed));
-  MsgStats stats = streams ? streams->stats() : MsgStats{};
-  for (unsigned w = 0; w < W; ++w) stats.combined_edges += worker_combined[w];
-  FlushMsgStats(stats, options.msg);
+  FlushMsgStats(worker_combined, options.msg);
   return result;
 }
 
@@ -254,7 +169,6 @@ Result<std::vector<uint32_t>> ShardedBfs(
                               " out of range for " + std::to_string(n) +
                               " vertices");
   }
-  UG_RETURN_NOT_OK(ValidateMsgOptions(options.msg));
   const uint32_t S = g.num_shards();
   const unsigned threads = ResolveNumThreads(options.num_threads);
   std::optional<ThreadPool> pool_storage;
@@ -262,7 +176,6 @@ Result<std::vector<uint32_t>> ShardedBfs(
   ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
   const unsigned W = pool == nullptr ? 1 : pool->size();
   const ShardPlan plan(S, W);
-  const bool dense = options.msg.strategy == MsgStrategy::kDenseCombine;
 
   const std::span<const VertexId> n2o = g.new_to_old();
   const VertexId src = g.OldToNew(pool)[source];
@@ -276,107 +189,54 @@ Result<std::vector<uint32_t>> ShardedBfs(
 
   std::vector<uint64_t> worker_edges(W, 0), worker_combined(W, 0);
 
-  if (dense) {
-    // Byte-per-vertex frontier flags, double-buffered: cur_f is read-only
-    // during a level's scan, next_f and dist are written only by the worker
-    // owning the destination's shard block — so discoveries combine at the
-    // destination with no message traffic and no write sharing.
-    std::vector<uint8_t> cur_f(n, 0), next_f(n, 0);
-    cur_f[src] = 1;
-    std::vector<uint64_t> next_active(S, 0);
-    for (uint32_t level = 0;; ++level) {
-      UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
-        const uint32_t slo = plan.lo(w), shi = plan.hi(w);
-        const VertexId db = g.shard_begin(slo);
-        const VertexId de = g.shard_begin(shi);
-        if (db == de) return Status::OK();
-        std::fill(next_f.begin() + db, next_f.begin() + de, 0);
-        for (uint32_t t = slo; t < shi; ++t) next_active[t] = 0;
-        uint64_t scanned = 0, applied = 0;
-        for (uint32_t s = 0; s < S; ++s) {
-          if (active[s] == 0) continue;
-          UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
-          const SegmentView& view = pin.view();
-          // Each frontier edge is counted once, by the worker that owns its
-          // SOURCE shard (every worker scans every active segment here).
-          const bool count_rows = s >= slo && s < shi;
-          view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-            if (!cur_f[u]) return;
-            if (count_rows) scanned += nbrs.size();
-            for (VertexId v : nbrs) {
-              if (v >= db && v < de && dist[v] == algo::kUnreachable) {
-                dist[v] = level + 1;
-                next_f[v] = 1;
-                ++next_active[g.shard_of(v)];
-                ++applied;
-              }
+  // Byte-per-vertex frontier flags, double-buffered: cur_f is read-only
+  // during a level's scan, next_f and dist are written only by the worker
+  // owning the destination's shard block — so discoveries combine at the
+  // destination with no message traffic and no write sharing.
+  std::vector<uint8_t> cur_f(n, 0), next_f(n, 0);
+  cur_f[src] = 1;
+  std::vector<uint64_t> next_active(S, 0);
+  for (uint32_t level = 0;; ++level) {
+    UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
+      const uint32_t slo = plan.lo(w), shi = plan.hi(w);
+      const VertexId db = g.shard_begin(slo);
+      const VertexId de = g.shard_begin(shi);
+      if (db == de) return Status::OK();
+      std::fill(next_f.begin() + db, next_f.begin() + de, 0);
+      for (uint32_t t = slo; t < shi; ++t) next_active[t] = 0;
+      uint64_t scanned = 0, applied = 0;
+      for (uint32_t s = 0; s < S; ++s) {
+        if (active[s] == 0) continue;
+        UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
+        const SegmentView& view = pin.view();
+        // Each frontier edge is counted once, by the worker that owns its
+        // SOURCE shard (every worker scans every active segment here).
+        const bool count_rows = s >= slo && s < shi;
+        view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
+          if (!cur_f[u]) return;
+          if (count_rows) scanned += nbrs.size();
+          for (VertexId v : nbrs) {
+            if (v >= db && v < de && dist[v] == algo::kUnreachable) {
+              dist[v] = level + 1;
+              next_f[v] = 1;
+              ++next_active[g.shard_of(v)];
+              ++applied;
             }
-          });
-        }
-        worker_edges[w] += scanned;
-        worker_combined[w] += applied;
-        return Status::OK();
-      }));
-
-      uint64_t total = 0;
-      for (uint32_t t = 0; t < S; ++t) {
-        active[t] = next_active[t];
-        total += active[t];
-      }
-      if (total == 0) break;
-      cur_f.swap(next_f);
-    }
-  } else {
-    UG_ASSIGN_OR_RETURN(
-        MsgStreams<MsgNoValue> streams,
-        MsgStreams<MsgNoValue>::Create(W, S, options.msg.message_budget_bytes,
-                                       ResolveSpillDir(g, options.msg)));
-    for (uint32_t level = 0;; ++level) {
-      UG_RETURN_NOT_OK(streams.Reset());
-      UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
-        Status emit_status;
-        uint64_t scanned = 0;
-        for (uint32_t s = plan.lo(w); s < plan.hi(w) && emit_status.ok();
-             ++s) {
-          if (active[s] == 0) continue;
-          UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
-          const SegmentView& view = pin.view();
-          view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-            if (!emit_status.ok() || dist[u] != level) return;
-            scanned += nbrs.size();
-            for (VertexId v : nbrs) {
-              if (dist[v] == algo::kUnreachable) {
-                Status st = streams.Emit(w, g.shard_of(v), v);
-                if (!st.ok()) {
-                  emit_status = std::move(st);
-                  return;
-                }
-              }
-            }
-          });
-        }
-        worker_edges[w] += scanned;
-        return emit_status;
-      }));
-
-      UG_RETURN_NOT_OK(ApplyShards(pool, S, [&](uint32_t t) -> Status {
-        uint64_t discovered = 0;
-        UG_RETURN_NOT_OK(streams.Replay(t, [&](VertexId v) {
-          if (dist[v] == algo::kUnreachable) {
-            dist[v] = level + 1;
-            ++discovered;
           }
-        }));
-        active[t] = discovered;
-        return Status::OK();
-      }));
+        });
+      }
+      worker_edges[w] += scanned;
+      worker_combined[w] += applied;
+      return Status::OK();
+    }));
 
-      uint64_t total = 0;
-      for (uint32_t t = 0; t < S; ++t) total += active[t];
-      if (total == 0) break;
+    uint64_t total = 0;
+    for (uint32_t t = 0; t < S; ++t) {
+      active[t] = next_active[t];
+      total += active[t];
     }
-    MsgStats stats = streams.stats();
-    FlushMsgStats(stats, options.msg);
+    if (total == 0) break;
+    cur_f.swap(next_f);
   }
 
   std::vector<uint32_t> out(n);
@@ -385,20 +245,13 @@ Result<std::vector<uint32_t>> ShardedBfs(
   for (unsigned w = 0; w < W; ++w) edges_scanned += worker_edges[w];
   obs::AddCounter("shard.bfs.edges_scanned",
                   static_cast<int64_t>(edges_scanned));
-  if (dense) {
-    MsgStats stats;
-    for (unsigned w = 0; w < W; ++w) {
-      stats.combined_edges += worker_combined[w];
-    }
-    FlushMsgStats(stats, options.msg);
-  }
+  FlushMsgStats(worker_combined, options.msg);
   return out;
 }
 
 Result<algo::ComponentResult> ShardedComponents(
     const ShardedCsr& g, const ShardedTraversalOptions& options) {
   const VertexId n = g.num_vertices();
-  UG_RETURN_NOT_OK(ValidateMsgOptions(options.msg));
   const uint32_t S = g.num_shards();
   const unsigned threads = ResolveNumThreads(options.num_threads);
   std::optional<ThreadPool> pool_storage;
@@ -406,107 +259,62 @@ Result<algo::ComponentResult> ShardedComponents(
   ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
   const unsigned W = pool == nullptr ? 1 : pool->size();
   const ShardPlan plan(S, W);
-  const bool dense = options.msg.strategy == MsgStrategy::kDenseCombine;
 
   // Jacobi min-label over the previous round's labels only: min is
   // order-insensitive, so the fixpoint (and every intermediate round) is
-  // identical at any worker/shard layout and under either message strategy.
+  // identical at any worker/shard layout.
   // Reverse messages (v -> u's label) make connectivity weak on directed
   // graphs without an in-edge index, and the cur[cur[u]] pointer jump keeps
   // round counts near the label-prop kernel's instead of the graph diameter.
   std::vector<uint32_t> cur(n), next(n);
   for (VertexId v = 0; v < n; ++v) cur[v] = v;
 
-  std::optional<MsgStreams<uint32_t>> streams;
-  if (!dense) {
-    UG_ASSIGN_OR_RETURN(
-        streams, MsgStreams<uint32_t>::Create(
-                     W, S, options.msg.message_budget_bytes,
-                     ResolveSpillDir(g, options.msg)));
-  }
   std::vector<uint64_t> worker_combined(W, 0);
   uint64_t edges_scanned = 0;
   uint32_t rounds = 0;
 
   while (true) {
-    if (dense) {
-      // Destination-owned fold: the owner seeds next[v] with the pointer
-      // jump, then every worker scanning a row u min-merges label_u into its
-      // OWN destinations, and u's owner min-merges the row minimum into
-      // next[u]. Min commutes, so this equals the replay oracle exactly.
-      UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
-        const VertexId db = g.shard_begin(plan.lo(w));
-        const VertexId de = g.shard_begin(plan.hi(w));
-        if (db == de) return Status::OK();
-        for (VertexId v = db; v < de; ++v) {
-          next[v] = std::min(cur[v], cur[cur[v]]);
-        }
-        uint64_t applied = 0;
-        for (uint32_t s = 0; s < S; ++s) {
-          UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
-          const SegmentView& view = pin.view();
-          view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-            const uint32_t label_u = cur[u];
-            if (u >= db && u < de) {
-              uint32_t best = next[u];
-              for (VertexId v : nbrs) {
-                best = std::min(best, cur[v]);
-                if (v >= db && v < de) {
-                  next[v] = std::min(next[v], label_u);
-                  ++applied;
-                }
-              }
-              next[u] = best;
-            } else {
-              for (VertexId v : nbrs) {
-                if (v >= db && v < de) {
-                  next[v] = std::min(next[v], label_u);
-                  ++applied;
-                }
-              }
-            }
-          });
-        }
-        worker_combined[w] += applied;
-        return Status::OK();
-      }));
-    } else {
-      UG_RETURN_NOT_OK(streams->Reset());
-      // Scatter: worker w owns next[u] for u in its shards (no other worker
-      // writes them before the barrier), so local minima apply in place;
-      // reverse influence crosses shards as (v, cur[u]) messages.
-      UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
-        Status emit_status;
-        for (uint32_t s = plan.lo(w); s < plan.hi(w) && emit_status.ok();
-             ++s) {
-          UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
-          const SegmentView& view = pin.view();
-          view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-            if (!emit_status.ok()) return;
-            uint32_t best = std::min(cur[u], cur[cur[u]]);
-            const uint32_t label_u = cur[u];
+    // Destination-owned fold: the owner seeds next[v] with the pointer
+    // jump, then every worker scanning a row u min-merges label_u into its
+    // OWN destinations, and u's owner min-merges the row minimum into
+    // next[u]. Min commutes, so the result does not depend on which worker
+    // folds which arc, nor in what order.
+    UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
+      const VertexId db = g.shard_begin(plan.lo(w));
+      const VertexId de = g.shard_begin(plan.hi(w));
+      if (db == de) return Status::OK();
+      for (VertexId v = db; v < de; ++v) {
+        next[v] = std::min(cur[v], cur[cur[v]]);
+      }
+      uint64_t applied = 0;
+      for (uint32_t s = 0; s < S; ++s) {
+        UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
+        const SegmentView& view = pin.view();
+        view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
+          const uint32_t label_u = cur[u];
+          if (u >= db && u < de) {
+            uint32_t best = next[u];
             for (VertexId v : nbrs) {
               best = std::min(best, cur[v]);
-              if (label_u < cur[v]) {
-                Status st = streams->Emit(w, g.shard_of(v), v, label_u);
-                if (!st.ok()) {
-                  emit_status = std::move(st);
-                  return;
-                }
+              if (v >= db && v < de) {
+                next[v] = std::min(next[v], label_u);
+                ++applied;
               }
             }
             next[u] = best;
-          });
-        }
-        return emit_status;
-      }));
-
-      UG_RETURN_NOT_OK(ApplyShards(pool, S, [&](uint32_t t) -> Status {
-        return streams->Replay(t, [&](VertexId dst, uint32_t label) {
-          next[dst] = std::min(next[dst], label);
+          } else {
+            for (VertexId v : nbrs) {
+              if (v >= db && v < de) {
+                next[v] = std::min(next[v], label_u);
+                ++applied;
+              }
+            }
+          }
         });
-      }));
-    }
+      }
+      worker_combined[w] += applied;
+      return Status::OK();
+    }));
 
     edges_scanned += g.num_edges();
     ++rounds;
@@ -520,8 +328,7 @@ Result<algo::ComponentResult> ShardedComponents(
     cur.swap(next);
     if (!changed) break;
     // next[] is stale after the swap; the coming round rewrites every entry
-    // (the dense seed loop / scatter covers all vertices, including
-    // degree-0 ones).
+    // (the owners' seed loops cover all vertices, including degree-0 ones).
   }
 
   // Canonical labels in ORIGINAL id space: first appearance in ascending
@@ -540,9 +347,7 @@ Result<algo::ComponentResult> ShardedComponents(
   obs::AddCounter("shard.cc.edges_scanned",
                   static_cast<int64_t>(edges_scanned));
   obs::AddCounter("shard.cc.rounds", rounds);
-  MsgStats stats = streams ? streams->stats() : MsgStats{};
-  for (unsigned w = 0; w < W; ++w) stats.combined_edges += worker_combined[w];
-  FlushMsgStats(stats, options.msg);
+  FlushMsgStats(worker_combined, options.msg);
   return result;
 }
 

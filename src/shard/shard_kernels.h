@@ -4,50 +4,39 @@
 // ids (translated through the manifest's new_to_old map), so callers compare
 // them 1:1 with the src/algorithms kernels.
 //
-// Two execution strategies, selected by MsgOptions::strategy (msg_stream.h):
-//
-//   * MsgStrategy::kDenseCombine (default) — destination-owned dense
-//     accumulation. Workers own contiguous ascending blocks of DESTINATION
-//     shards; each worker scans every (active) segment in ascending order
-//     and folds the messages aimed at its own destinations directly into the
-//     dense per-vertex state (next-rank, distance + frontier flags,
-//     next-label), combining at the destination with no message buffering at
-//     all. Each destination is owned by exactly one worker and sources are
-//     visited in globally ascending order, so every accumulator sees its
-//     contributions in the SERIAL in-RAM push kernel's float association —
-//     at any thread count and any shard count. The trade: with W workers a
-//     segment is scanned up to W times (destination-partitioned streaming),
-//     but per-iteration message memory is zero.
-//
-//   * MsgStrategy::kUncombined — the propagation-blocking replay path (the
-//     bitwise oracle, and the strategy that scans each segment exactly
-//     once): workers own contiguous ascending blocks of shards, scan their
-//     rows in ascending order, and emit per-(worker, destination shard)
-//     message streams; a barrier later, destination shards are applied
-//     independently, each replaying its streams in ascending worker order —
-//     again globally ascending source order. Streams live in RAM up to
-//     MsgOptions::message_budget_bytes and spill to CRC-checked scratch
-//     files beyond it (replayed in the same order, so results do not depend
-//     on where a block lived).
-//
-// Both strategies therefore produce bitwise-identical results — to each
-// other and across every {threads} x {shards} x {encoding} combination.
-// Dangling mass and the L1 delta are straight serial O(V) loops for the same
-// reason. Consequences, enforced by tests/sharded_test.cc:
+// One schedule, destination-owned dense combine: workers own contiguous
+// ascending blocks of DESTINATION shards; each worker scans every (active)
+// segment in ascending order and folds the messages aimed at its own
+// destinations directly into the dense per-vertex state (next-rank,
+// distance + frontier flags, next-label), combining at the destination with
+// no message buffering at all. Each destination is owned by exactly one
+// worker and sources are visited in globally ascending order, so every
+// accumulator sees its contributions in the SERIAL in-RAM push kernel's
+// float association — at any thread count and any shard count. Results are
+// therefore bitwise-identical across every {threads} x {shards} x
+// {encoding} combination. Dangling mass and the L1 delta are straight serial
+// O(V) loops for the same reason. Consequences, enforced by
+// tests/sharded_test.cc:
 //
 //   * PageRank under ShardPartitioner::kContiguous (identity relabel) is
 //     bitwise-identical to serial push-mode algo::PageRank on the original
-//     graph for every strategy/threads/shards/encoding combination.
+//     graph for every threads/shards/encoding combination.
 //   * Under kLdg/kBfsGrow the permutation itself depends on the shard count,
 //     so the per-configuration anchor is serial push PageRank on the
 //     relabeled graph (g.Permute of the same permutation) — still exact.
 //   * BFS distances and component labels are unique graph invariants:
 //     bitwise-equal to the in-RAM kernels under every partitioner.
 //
+// Known cost: with W workers every active segment is scanned W times per
+// iteration or level (each worker keeps only the arcs aimed at its own
+// destinations), and under a small cache budget the W interleaved ascending
+// sweeps thrash the LRU. A destination-blocked segment layout, in which each
+// worker reads only the sub-segments aimed at its destinations, would remove
+// the re-scan (the out-of-core traversal item of ROADMAP.md).
+//
 // RAM budget: O(V) vertex state; segment bytes bounded by the cache budget;
-// message bytes zero (kDenseCombine) or bounded by message_budget_bytes
-// (kUncombined with spill). This is what makes the execution fully
-// out-of-core rather than semi-external.
+// zero message bytes. This is what makes the execution fully out-of-core
+// rather than semi-external.
 #pragma once
 
 #include <cstdint>
@@ -55,10 +44,22 @@
 
 #include "algorithms/connected_components.h"
 #include "common/result.h"
-#include "shard/msg_stream.h"
 #include "shard/sharded_csr.h"
 
 namespace ubigraph::shard {
+
+/// Message-layer counters a kernel run reports (also flushed to the obs
+/// registry as shard.msg.combined_edges).
+struct MsgStats {
+  /// Edge messages folded into a destination's dense state.
+  uint64_t combined_edges = 0;
+};
+
+/// Message-layer options embedded in every sharded kernel's options struct.
+struct MsgOptions {
+  /// When non-null, receives the run's message-layer counters.
+  MsgStats* stats_out = nullptr;
+};
 
 struct ShardedPageRankOptions {
   double damping = 0.85;
@@ -68,7 +69,7 @@ struct ShardedPageRankOptions {
   /// 0 = hardware_concurrency, 1 = exact serial path (default), >= 2 = that
   /// many workers. Scores are bitwise-identical at every setting.
   uint32_t num_threads = 1;
-  /// Message strategy, budget, spill placement, stats out. See msg_stream.h.
+  /// Message-layer stats out.
   MsgOptions msg;
 };
 
@@ -85,7 +86,7 @@ Result<ShardedPageRankResult> ShardedPageRank(
 struct ShardedTraversalOptions {
   /// Same convention as ShardedPageRankOptions::num_threads.
   uint32_t num_threads = 1;
-  /// Message strategy, budget, spill placement, stats out. See msg_stream.h.
+  /// Message-layer stats out.
   MsgOptions msg;
 };
 

@@ -220,7 +220,6 @@ Result<ShardedCsr> ShardedCsr::Open(const std::string& dir,
       sharded.shard_of_[v] = static_cast<uint16_t>(s);
     }
   }
-  sharded.dir_ = dir;
   return sharded;
 }
 

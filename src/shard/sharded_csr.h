@@ -119,11 +119,6 @@ class ShardedCsr {
   /// and threading contract as InvOutDegrees().
   std::span<const VertexId> OldToNew(ThreadPool* pool = nullptr) const;
 
-  /// The directory this instance was Open()ed from; empty for Build-produced
-  /// (in-memory) instances. Kernels place message spill scratch here so it
-  /// shares the segment files' filesystem.
-  const std::string& dir() const { return dir_; }
-
   SegmentCache& cache() const { return *cache_; }
 
   /// Acquire + cross-check: the pinned view must cover exactly this shard's
@@ -147,7 +142,6 @@ class ShardedCsr {
   ShardManifest manifest_;
   std::vector<uint16_t> shard_of_;  // size V; why num_shards <= 65535
   std::unique_ptr<SegmentCache> cache_;
-  std::string dir_;  // set by Open()
   std::unique_ptr<Derived> derived_;
 };
 

@@ -132,7 +132,9 @@ TEST(BenchCompareLoadTest, RoundTripsThroughFormat) {
 
 Record MakeRecord(double ns, double spread = 0.0, double work = 100.0) {
   Record r;
-  r.kernel = "k";
+  // Move-assigned: operator=(const char*) trips a GCC 12 -Wrestrict false
+  // positive once inlined here.
+  r.kernel = std::string("k");
   r.median_real_ns = ns;
   r.rel_spread = spread;
   r.work_items = work;

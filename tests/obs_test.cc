@@ -247,7 +247,8 @@ TEST_F(ObsTest, RingBufferOverwritesOldestAndCountsDropped) {
   TraceSink sink(4);
   for (int i = 0; i < 10; ++i) {
     TraceEvent e;
-    e.name = "e" + std::to_string(i);
+    e.name = "e";
+    e.name += std::to_string(i);
     sink.Push(std::move(e));
   }
   uint64_t dropped = 0;

@@ -166,7 +166,9 @@ TEST(VectorizedDifferential, SharedErrors) {
 PropertyGraph FromEdgeList(const EdgeList& el) {
   PropertyGraph g;
   for (VertexId v = 0; v < el.num_vertices(); ++v) {
-    VertexId id = g.AddVertex("L" + std::to_string(v % 3));
+    std::string label = "L";
+    label += std::to_string(v % 3);
+    VertexId id = g.AddVertex(label);
     g.SetVertexProperty(id, "w", static_cast<int64_t>(v * 7 % 50)).Abort();
   }
   size_t i = 0;

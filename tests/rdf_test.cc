@@ -186,8 +186,11 @@ TEST(NTriplesTest, DuplicatesNotDoubleCounted) {
 TEST(TripleStoreScaleTest, ManyTriplesIndexedConsistently) {
   TripleStore store;
   for (int i = 0; i < 500; ++i) {
-    store.Add("s" + std::to_string(i % 50), "p" + std::to_string(i % 5),
-              "o" + std::to_string(i));
+    std::string s = "s", p = "p", o = "o";
+    s += std::to_string(i % 50);
+    p += std::to_string(i % 5);
+    o += std::to_string(i);
+    store.Add(s, p, o);
   }
   EXPECT_EQ(store.num_triples(), 500u);
   TriplePattern p;

@@ -110,26 +110,6 @@ ShardedPageRankResult RunShardedPageRankMsg(const ShardedCsr& s,
   return ShardedPageRank(s, opts).ValueOrDie();
 }
 
-MsgOptions UncombinedMsg(uint64_t budget, const std::string& spill_dir,
-                         MsgStats* stats = nullptr) {
-  MsgOptions m;
-  m.strategy = MsgStrategy::kUncombined;
-  m.message_budget_bytes = budget;
-  m.spill_dir = spill_dir;
-  m.stats_out = stats;
-  return m;
-}
-
-std::vector<std::string> SpillFilesIn(const fs::path& dir) {
-  std::vector<std::string> out;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec), end;
-  for (; !ec && it != end; it.increment(ec)) {
-    if (it->path().extension() == ".spill") out.push_back(it->path().string());
-  }
-  return out;
-}
-
 void ExpectBitwiseEqual(const std::vector<double>& got,
                         const std::vector<double>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -232,80 +212,6 @@ TEST_P(ShardedMatrixTest, ComponentsMatchInRamLabels) {
   }
 }
 
-TEST_P(ShardedMatrixTest, UncombinedOracleBitwiseEqualsSerialPush) {
-  // The replay oracle (kUncombined, unlimited budget — PR 9's exact path)
-  // must keep matching serial push now that kDenseCombine is the default.
-  const CsrGraph& g = RmatGraph();
-  const algo::PageRankResult want = SerialPushPageRank(g);
-  auto s = ShardedCsr::Build(g, Options(ShardPartitioner::kContiguous))
-               .ValueOrDie();
-  MsgStats stats;
-  MsgOptions msg = UncombinedMsg(0, "", &stats);
-  const ShardedPageRankResult got =
-      RunShardedPageRankMsg(s, threads(), msg);
-  EXPECT_EQ(got.iterations, want.iterations);
-  ExpectBitwiseEqual(got.scores, want.scores);
-  // Unlimited budget: everything buffered, nothing spilled, nothing combined.
-  EXPECT_EQ(stats.spill_files, 0u);
-  EXPECT_GT(stats.peak_msg_bytes, 0u);
-  EXPECT_EQ(stats.combined_edges, 0u);
-}
-
-TEST_P(ShardedMatrixTest, ForcedSpillPageRankBitwiseEqualsSerialPush) {
-  // A budget far below one iteration's message traffic (12 B x 4096 edges)
-  // forces constant spilling; the result must not move by a single bit, the
-  // budget must hold, and no scratch may survive the run.
-  constexpr uint64_t kBudget = 1024;
-  const CsrGraph& g = RmatGraph();
-  const algo::PageRankResult want = SerialPushPageRank(g);
-  auto s = ShardedCsr::Build(g, Options(ShardPartitioner::kContiguous))
-               .ValueOrDie();
-  TempDir spill;
-  MsgStats stats;
-  const MsgOptions msg = UncombinedMsg(kBudget, spill.str(), &stats);
-  const ShardedPageRankResult got =
-      RunShardedPageRankMsg(s, threads(), msg);
-  EXPECT_EQ(got.iterations, want.iterations);
-  EXPECT_EQ(got.final_delta, want.final_delta);
-  ExpectBitwiseEqual(got.scores, want.scores);
-  EXPECT_GE(stats.spill_files, 1u);
-  EXPECT_GT(stats.spill_bytes, 0u);
-  EXPECT_GT(stats.peak_msg_bytes, 0u);
-  EXPECT_LE(stats.peak_msg_bytes, kBudget);
-  EXPECT_TRUE(SpillFilesIn(spill.path()).empty())
-      << "spill scratch leaked after a successful run";
-}
-
-TEST_P(ShardedMatrixTest, ForcedSpillTraversalsMatchInRam) {
-  constexpr uint64_t kBudget = 1024;
-  const CsrGraph& g = RmatGraph();
-  const std::vector<uint32_t> want_bfs = algo::BfsDistances(g, 0);
-  const algo::ComponentResult want_cc = algo::WeaklyConnectedComponents(g);
-  auto s = ShardedCsr::Build(g, Options(ShardPartitioner::kContiguous))
-               .ValueOrDie();
-  TempDir spill;
-
-  MsgStats bfs_stats;
-  ShardedTraversalOptions bopts;
-  bopts.num_threads = threads();
-  bopts.msg = UncombinedMsg(kBudget, spill.str(), &bfs_stats);
-  EXPECT_EQ(ShardedBfs(s, 0, bopts).ValueOrDie(), want_bfs);
-  EXPECT_LE(bfs_stats.peak_msg_bytes, kBudget);
-
-  MsgStats cc_stats;
-  ShardedTraversalOptions copts;
-  copts.num_threads = threads();
-  copts.msg = UncombinedMsg(kBudget, spill.str(), &cc_stats);
-  const algo::ComponentResult got_cc =
-      ShardedComponents(s, copts).ValueOrDie();
-  EXPECT_EQ(got_cc.num_components, want_cc.num_components);
-  EXPECT_EQ(got_cc.label, want_cc.label);
-  EXPECT_GE(cc_stats.spill_files, 1u);
-  EXPECT_LE(cc_stats.peak_msg_bytes, kBudget);
-
-  EXPECT_TRUE(SpillFilesIn(spill.path()).empty());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ShardedMatrixTest,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
@@ -313,9 +219,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SegmentEncoding::kPlain,
                                          SegmentEncoding::kCompressed)),
     [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_s" +
-             std::to_string(std::get<1>(info.param)) + "_" +
-             SegmentEncodingName(std::get<2>(info.param));
+      std::string name = "t";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_s";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_";
+      name += SegmentEncodingName(std::get<2>(info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------------------
@@ -421,10 +331,9 @@ TEST(ShardedOutOfCoreTest, BudgetedCacheStaysPartialAndExact) {
 }
 
 TEST(ShardedOutOfCoreTest, MessageBudgetBoundsPeakMsgBytes) {
-  // True out-of-core run: mmap'ed segments under a cache budget AND message
-  // streams under a message budget. Dense combine buffers nothing at all;
-  // the spilling oracle must stay under its budget and leave no scratch in
-  // the shard directory (the default spill placement).
+  // True out-of-core run: mmap'ed segments under a cache budget. Dense
+  // combine buffers no messages: every edge message folds straight into its
+  // destination's state, and the stats report how many did.
   const CsrGraph& g = RmatGraph();
   ShardOptions opts;
   opts.num_shards = 16;
@@ -440,30 +349,19 @@ TEST(ShardedOutOfCoreTest, MessageBudgetBoundsPeakMsgBytes) {
   MsgStats dense_stats;
   MsgOptions dense_msg;
   dense_msg.stats_out = &dense_stats;
-  const ShardedPageRankResult dense =
+  const ShardedPageRankResult got =
       RunShardedPageRankMsg(opened, 1, dense_msg);
-  EXPECT_EQ(dense_stats.peak_msg_bytes, 0u);
-  EXPECT_EQ(dense_stats.spill_files, 0u);
   EXPECT_GT(dense_stats.combined_edges, 0u);
-
-  constexpr uint64_t kBudget = 2048;
-  MsgStats spill_stats;
-  // Empty spill_dir: scratch defaults into the graph's own directory.
-  const MsgOptions spill_msg = UncombinedMsg(kBudget, "", &spill_stats);
-  const ShardedPageRankResult spilled =
-      RunShardedPageRankMsg(opened, 2, spill_msg);
-  ExpectBitwiseEqual(spilled.scores, dense.scores);
-  EXPECT_GE(spill_stats.spill_files, 1u);
-  EXPECT_LE(spill_stats.peak_msg_bytes, kBudget);
-  EXPECT_TRUE(SpillFilesIn(dir.path()).empty())
-      << "spill scratch leaked into the shard directory";
+  // PageRank folds every arc of every iteration exactly once.
+  EXPECT_EQ(dense_stats.combined_edges,
+            uint64_t{got.iterations} * opened.num_edges());
 }
 
 // ---------------------------------------------------------------------------
-// Spill scratch lifecycle: files must vanish on every exit path.
+// Error path: a segment that fails to load mid-iteration.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSpillCleanupTest, NoSpillFilesSurviveMidIterationError) {
+TEST(ShardedErrorPathTest, CorruptLastSegmentFailsEveryKernel) {
   const CsrGraph& g = RmatGraph();
   ShardOptions opts;
   opts.num_shards = 16;
@@ -471,21 +369,9 @@ TEST(ShardedSpillCleanupTest, NoSpillFilesSurviveMidIterationError) {
   TempDir dir;
   ASSERT_TRUE(built.WriteTo(dir.str()).ok());
 
-  const MsgOptions msg = UncombinedMsg(/*budget=*/512, dir.str());
-  {
-    // Intact control run: proves this exact configuration spills well before
-    // the last shard is reached.
-    auto opened = ShardedCsr::Open(dir.str()).ValueOrDie();
-    MsgStats stats;
-    MsgOptions counted = msg;
-    counted.stats_out = &stats;
-    RunShardedPageRankMsg(opened, 1, counted);
-    ASSERT_GE(stats.spill_files, 1u);
-  }
-
   // Flip one payload byte of the LAST segment: the header probe at Open
   // passes, but the first load of that segment fails its checksum — an error
-  // raised mid-iteration, after the early shards already spilled.
+  // raised mid-iteration, after the earlier shards were already scanned.
   const fs::path victim = dir.path() / "segment_00015.ugsg";
   {
     std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
@@ -504,76 +390,29 @@ TEST(ShardedSpillCleanupTest, NoSpillFilesSurviveMidIterationError) {
   ShardOpenOptions oopts;
   oopts.storage = SegmentStorage::kMapped;
   auto opened = ShardedCsr::Open(dir.str(), oopts);
-  if (opened.ok()) {
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  // BFS only loads segments holding frontier vertices, so start it inside
+  // the corrupt shard.
+  const VertexId bfs_source = opened->new_to_old()[opened->shard_begin(15)];
+
+  // Every worker scans every segment, so at 4 threads several workers fail
+  // at once and RunWorkers must report one of them; the code must not depend
+  // on the thread count.
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     ShardedPageRankOptions popts;
     popts.tolerance = kTolerance;
     popts.max_iterations = kMaxIters;
-    popts.num_threads = 1;
-    popts.msg = msg;
-    EXPECT_FALSE(ShardedPageRank(*opened, popts).ok());
+    popts.num_threads = threads;
+    ShardedTraversalOptions topts;
+    topts.num_threads = threads;
+    EXPECT_EQ(ShardedPageRank(*opened, popts).status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(ShardedBfs(*opened, bfs_source, topts).status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(ShardedComponents(*opened, topts).status().code(),
+              StatusCode::kCorruption);
   }
-  EXPECT_TRUE(SpillFilesIn(dir.path()).empty())
-      << "spill scratch survived a kernel error";
-}
-
-// ---------------------------------------------------------------------------
-// MsgStreams unit level: replay order, budget accounting, RAII cleanup.
-// ---------------------------------------------------------------------------
-
-TEST(MsgStreamsTest, SpillReplayPreservesAscendingWorkerEmissionOrder) {
-  TempDir dir;
-  std::vector<std::string> paths;
-  {
-    auto ms = MsgStreams<double>::Create(/*workers=*/2, /*shards=*/2,
-                                         /*budget_bytes=*/64, dir.str())
-                  .ValueOrDie();
-    // Emit through worker 1 FIRST: replay must still deliver worker 0's
-    // records first (ascending worker order), each worker's in emission
-    // order, spilled blocks before the in-RAM tail.
-    std::vector<std::pair<VertexId, double>> want[2];
-    for (VertexId i = 0; i < 100; ++i) {
-      ASSERT_TRUE(ms.Emit(1, i % 2, i, 0.5 * i).ok());
-    }
-    for (VertexId i = 0; i < 100; ++i) {
-      ASSERT_TRUE(ms.Emit(0, i % 2, 1000 + i, 0.25 * i).ok());
-    }
-    for (VertexId i = 0; i < 100; ++i) {
-      want[i % 2].emplace_back(1000 + i, 0.25 * i);  // worker 0 first
-    }
-    for (VertexId i = 0; i < 100; ++i) {
-      want[i % 2].emplace_back(i, 0.5 * i);
-    }
-    for (uint32_t t = 0; t < 2; ++t) {
-      std::vector<std::pair<VertexId, double>> got;
-      ASSERT_TRUE(ms.Replay(t, [&](VertexId dst, double val) {
-                      got.emplace_back(dst, val);
-                    }).ok());
-      EXPECT_EQ(got, want[t]) << "shard " << t;
-    }
-
-    const MsgStats stats = ms.stats();
-    EXPECT_EQ(stats.spill_files, 2u);
-    EXPECT_GT(stats.spill_bytes, 0u);
-    EXPECT_LE(stats.peak_msg_bytes, 64u);
-    paths = ms.spill_paths();
-    ASSERT_EQ(paths.size(), 2u);
-    for (const std::string& p : paths) EXPECT_TRUE(fs::exists(p));
-
-    // Reset truncates and forgets everything; the streams stay usable.
-    ASSERT_TRUE(ms.Reset().ok());
-    size_t replayed = 0;
-    ASSERT_TRUE(ms.Replay(0, [&](VertexId, double) { ++replayed; }).ok());
-    EXPECT_EQ(replayed, 0u);
-    ASSERT_TRUE(ms.Emit(0, 0, 7, 1.5).ok());
-  }
-  // Destruction unlinks the scratch.
-  for (const std::string& p : paths) EXPECT_FALSE(fs::exists(p));
-  EXPECT_TRUE(SpillFilesIn(dir.path()).empty());
-}
-
-TEST(MsgStreamsTest, BudgetWithoutSpillDirRejected) {
-  EXPECT_FALSE(MsgStreams<double>::Create(1, 1, 1024, "").ok());
-  EXPECT_FALSE(MsgStreams<double>::Create(0, 1, 0, "").ok());
 }
 
 // ---------------------------------------------------------------------------
